@@ -1,11 +1,17 @@
 """Command line front end.
 
 Subcommands:
-  compute   evaluate the invariant for one presentation across levels/methods
+  compute   evaluate one presentation across levels and methods
+  table     compute restricted to the columns r,method,re,im,abs,phase
   verify    cross-check all applicable methods against each other
   lens      evaluate both lens space routes and their difference
   axioms    datum, representation, and number-theory consistency report
-  table     delimited sweep output (exactly r,method,re,im,abs,phase)
+
+The methods are the routes of invariants.ROUTES.  The default, auto,
+runs every route that applies to the base and the datum and skips one
+that exceeds a complexity cap; a method named with --method that exceeds
+a cap exits with code 3.  lens_direct is reached only through lens.
+Every subcommand prints through emit_records.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input or
 configuration, 3 complexity cap exceeded.  Output is byte-identical for
@@ -24,23 +30,12 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .invariants import (
-    METHODS,
-    ComplexityCap,
-    InvariantResult,
-    tau_cs11,
-    tau_compact,
-    tau_generic,
-    tau_graph_sum,
-    tau_lens_routes,
-    tau_section5,
-)
-from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
-from .seifert import LensSpace, SeifertData, normalize, parse_seifert
-from .sl2z import cf_expand, dedekind_sum, dedekind_sum_cotangent, rademacher_phi
+import numpy as np
 
-GRAPH_R_CAP = 10
-GRAPH_MAX_TERMS = 500_000
+from .invariants import ROUTES, ComplexityCap, InvariantResult, tau_lens_routes
+from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
+from .seifert import LensSpace, SeifertData, parse_seifert
+from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class RunConfig:
             if r < 2:
                 raise ValueError(f"need r >= 2, got {r}")
         for m in self.methods:
-            if m != "auto" and m not in METHODS:
+            if m != "auto" and m not in ROUTES:
                 raise ValueError(f"unknown method {m!r}")
         if self.cf_style not in ("minus", "euclidean"):
             raise ValueError(f"unknown cf style {self.cf_style!r}")
@@ -121,76 +116,95 @@ def random_seifert(rng: random.Random) -> SeifertData:
     return SeifertData(base, genus, b, tuple(pairs))
 
 
-def graph_sum_feasible(data: SeifertData, r: int, cfg: RunConfig) -> bool:
-    if data.base != "o":
-        return False
-    mm = normalize(data)
-    total = sum(len(cf_expand(a, b, cfg.cf_style)) for a, b in mm.pairs)
-    if total > cfg.complexity_cap or r > GRAPH_R_CAP:
-        return False
-    return (r - 1) ** (1 + total) <= GRAPH_MAX_TERMS
-
-
-def auto_methods(data: SeifertData, r: int, cfg: RunConfig, custom: bool) -> list[str]:
-    """Applicable methods in fixed order; capped graph sums are omitted."""
-    out = ["generic"]
-    if not custom:
-        out += ["cs11", "compact"]
-    if data.base == "o":
-        if graph_sum_feasible(data, r, cfg):
-            out.append("graph_sum")
-        out.append("section5")
-    return out
-
-
 def evaluate(
-    method: str,
-    data: SeifertData,
-    r: int,
-    cfg: RunConfig,
-    datum: ModularDatum | None = None,
+    method: str, data: SeifertData, r: int, cfg: RunConfig, datum: ModularDatum | None = None
 ) -> InvariantResult:
+    route = ROUTES.get(method)
+    if route is None:
+        raise ValueError(f"unknown method {method!r}")
+    if route.sl2_only and datum is not None:
+        raise ValueError(f"method {method!r} needs the built-in sl2 datum")
     dm = datum if datum is not None else sl2_datum(r)
-    if method == "generic":
-        return tau_generic(dm, data, cfg.cf_style)
-    if method == "cs11":
-        return tau_cs11(r, data)
-    if method == "compact":
-        return tau_compact(r, data)
-    if method == "graph_sum":
-        return tau_graph_sum(dm, data, cfg.cf_style, chain_cap=cfg.complexity_cap)
-    if method == "section5":
-        return tau_section5(dm, data, cfg.cf_style)
-    raise ValueError(f"unknown method {method!r}")
+    return route.run(dm, data, cfg.cf_style, cfg.complexity_cap)
+
+
+def run_routes(
+    data: SeifertData, r: int, cfg: RunConfig, datum: ModularDatum | None = None
+) -> list[InvariantResult]:
+    """The requested methods at level r, in order.
+
+    "auto" runs every route of ROUTES that applies to the base and datum
+    and skips one that exceeds a complexity cap; a method named
+    explicitly lets ComplexityCap propagate.
+    """
+    if cfg.methods != ("auto",):
+        return [evaluate(m, data, r, cfg, datum) for m in cfg.methods]
+    results = []
+    for name, route in ROUTES.items():
+        if (route.sl2_only and datum is not None) or (
+            route.orientable_only and data.base != "o"
+        ):
+            continue
+        try:
+            results.append(evaluate(name, data, r, cfg, datum))
+        except ComplexityCap:
+            continue
+    return results
+
+
+def _value_fields(val: complex) -> dict:
+    return {
+        "re": f15(val.real),
+        "im": f15(val.imag),
+        "abs": f15(abs(val)),
+        "phase": f15(cmath.phase(val)),
+    }
 
 
 def result_record(res: InvariantResult) -> dict:
     return {
         "r": res.r,
         "method": res.method,
-        "re": f15(res.value.real),
-        "im": f15(res.value.imag),
-        "abs": f15(abs(res.value)),
-        "phase": f15(cmath.phase(res.value)),
+        **_value_fields(res.value),
         "sigma": res.sigma_used,
         "tolerance": f15(res.tolerance_estimate),
     }
 
 
-def emit_records(records: list[dict], output: str, columns: list[str]) -> None:
+def emit_records(
+    records: list[dict],
+    output: str,
+    columns: list[str],
+    summary: dict | None = None,
+    text: str | None = None,
+    footer: str | None = None,
+) -> None:
+    """Print records, restricted to columns, in the output format.
+
+    JSON is the list of rows, or {**summary, "rows": rows} when a summary
+    is given.  Text is an aligned table, or text.format(**row, mark=...)
+    per row when a row format is given (mark is ok or FAIL from the row's
+    ok), followed by the footer.
+    """
+    rows = [{k: rec.get(k) for k in columns} for rec in records]
     if output == "json":
-        print(json.dumps([{k: rec.get(k) for k in columns} for rec in records], indent=1))
+        print(json.dumps(rows if summary is None else {**summary, "rows": rows}, indent=1))
         return
     if output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_cell(rec.get(k)) for k in columns])
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
         return
-    widths = {k: max(len(k), *(len(_cell(r.get(k))) for r in records)) if records else len(k) for k in columns}
-    print(" ".join(k.rjust(widths[k]) for k in columns))
-    for rec in records:
-        print(" ".join(_cell(rec.get(k)).rjust(widths[k]) for k in columns))
+    if text is not None:
+        for row in rows:
+            print(text.format(**row, mark="ok" if row["ok"] else "FAIL"))
+    else:
+        widths = {k: max([len(k)] + [len(_cell(row[k])) for row in rows]) for k in columns}
+        print(" ".join(k.rjust(widths[k]) for k in columns))
+        for row in rows:
+            print(" ".join(_cell(row[k]).rjust(widths[k]) for k in columns))
+    if footer is not None:
+        print(footer)
 
 
 def _cell(val) -> str:
@@ -201,17 +215,21 @@ def _cell(val) -> str:
     return str(val)
 
 
-def _fail(msg: str) -> None:
+def _fail(msg: str, code: int = 2) -> int:
     print(f"error: {msg}", file=sys.stderr)
+    return code
 
 
 def _load_config(args, methods: tuple[str, ...]) -> RunConfig:
-    cap_env = os.environ.get("RT_COMPLEXITY_CAP")
-    cap = args.cap if args.cap is not None else (int(cap_env) if cap_env else 8)
+    # lens and axioms take no --cap (nor read RT_COMPLEXITY_CAP), axioms no --cf-style
+    cap = getattr(args, "cap", 8)
+    if cap is None:
+        cap_env = os.environ.get("RT_COMPLEXITY_CAP")
+        cap = int(cap_env) if cap_env else 8
     return RunConfig(
         r_values=parse_r_spec(args.r),
         methods=methods,
-        cf_style=args.cf_style,
+        cf_style=getattr(args, "cf_style", "minus"),
         tolerance=args.tolerance,
         output=args.format,
         complexity_cap=cap,
@@ -219,67 +237,34 @@ def _load_config(args, methods: tuple[str, ...]) -> RunConfig:
 
 
 def _method_list(args) -> tuple[str, ...]:
-    if not args.method:
-        return ("auto",)
-    out = []
-    for entry in args.method:
-        out += [m.strip() for m in entry.split(",") if m.strip()]
-    return tuple(out)
+    entries = args.method or ["auto"]
+    return tuple(m.strip() for entry in entries for m in entry.split(",") if m.strip())
 
 
 COMPUTE_COLUMNS = ["r", "method", "re", "im", "abs", "phase", "sigma", "tolerance"]
-TABLE_COLUMNS = ["r", "method", "re", "im", "abs", "phase"]
+VERIFY_COLUMNS = ["input", "r", "methods", "max_diff", "ok"]
+VERIFY_TEXT = "{input}  r={r}  methods={methods}  max_diff={max_diff:.15g}  {mark}"
+LENS_COLUMNS = ["r", "method", "route", "re", "im", "abs", "phase", "sigma", "diff"]
+AXIOMS_COLUMNS = ["r", "check", "residual", "ok"]
+AXIOMS_TEXT = "r={r:<4} {check:<42} {residual:.3e}  {mark}"
 
 
-def _compute_records(args) -> tuple[int, list[dict]]:
+def cmd_compute(args) -> int:
+    """compute and table; they differ only in args.columns."""
     try:
         data = parse_seifert(args.seifert)
         cfg = _load_config(args, _method_list(args))
         datum = load_datum(args.datum) if args.datum else None
     except (ValueError, OSError) as exc:
-        _fail(str(exc))
-        return 2, []
-    custom = datum is not None
-    records: list[dict] = []
-    r_values = (datum.n_labels + 1,) if custom else cfg.r_values
-    for r in r_values:
-        if cfg.methods == ("auto",):
-            methods = auto_methods(data, r, cfg, custom)
-        else:
-            methods = list(cfg.methods)
-        for method in methods:
-            if custom and method in ("cs11", "compact", "lens_direct"):
-                _fail(f"method {method!r} needs the built-in sl2 datum")
-                return 2, []
-            if method == "lens_direct":
-                _fail("method 'lens_direct' is only available via the lens subcommand")
-                return 2, []
-            try:
-                res = evaluate(method, data, r, cfg, datum)
-            except ComplexityCap as exc:
-                _fail(str(exc))
-                return 3, []
-            except ValueError as exc:
-                _fail(str(exc))
-                return 2, []
-            records.append(result_record(res))
-    return 0, records
-
-
-def cmd_compute(args) -> int:
-    code, records = _compute_records(args)
-    if code != 0:
-        return code
-    cfg_output = args.format
-    emit_records(records, cfg_output, COMPUTE_COLUMNS)
-    return 0
-
-
-def cmd_table(args) -> int:
-    code, records = _compute_records(args)
-    if code != 0:
-        return code
-    emit_records(records, args.format, TABLE_COLUMNS)
+        return _fail(str(exc))
+    r_values = (datum.n_labels + 1,) if datum is not None else cfg.r_values
+    try:
+        results = [res for r in r_values for res in run_routes(data, r, cfg, datum)]
+    except ComplexityCap as exc:
+        return _fail(str(exc), 3)
+    except ValueError as exc:
+        return _fail(str(exc))
+    emit_records([result_record(res) for res in results], cfg.output, args.columns)
     return 0
 
 
@@ -287,66 +272,40 @@ def cmd_verify(args) -> int:
     try:
         cfg = _load_config(args, ("auto",))
     except ValueError as exc:
-        _fail(str(exc))
-        return 2
+        return _fail(str(exc))
     if args.random is not None:
         if args.seifert is not None:
-            _fail("give either a presentation or --random, not both")
-            return 2
+            return _fail("give either a presentation or --random, not both")
+        if args.random < 1:
+            return _fail(f"--random needs N >= 1, got {args.random}")
         rng = random.Random(args.seed)
         inputs = [random_seifert(rng) for _ in range(args.random)]
     else:
         if args.seifert is None:
-            _fail("need a presentation or --random N")
-            return 2
+            return _fail("need a presentation or --random N")
         try:
             inputs = [parse_seifert(args.seifert)]
         except ValueError as exc:
-            _fail(str(exc))
-            return 2
+            return _fail(str(exc))
     rows: list[dict] = []
     worst = 0.0
-    for i, data in enumerate(inputs):
+    for data in inputs:
         for r in cfg.r_values:
-            methods = auto_methods(data, r, cfg, custom=False)
-            results = []
-            for method in methods:
-                try:
-                    results.append(evaluate(method, data, r, cfg))
-                except ComplexityCap:
-                    continue
-            diff = 0.0
-            for a in range(len(results)):
-                for bidx in range(a + 1, len(results)):
-                    diff = max(diff, abs(results[a].value - results[bidx].value))
+            values = [res.value for res in run_routes(data, r, cfg)]
+            diff = max([0.0] + [abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]])
             worst = max(worst, diff)
             rows.append(
-                {
-                    "input": str(data),
-                    "r": r,
-                    "methods": len(results),
-                    "max_diff": f15(diff),
-                    "ok": diff < cfg.tolerance,
-                }
+                dict(input=str(data), r=r, methods=len(values), max_diff=f15(diff), ok=diff < cfg.tolerance)
             )
     ok = worst < cfg.tolerance
-    if cfg.output == "json":
-        print(json.dumps({"ok": ok, "worst": f15(worst), "rows": rows}, indent=1))
-    elif cfg.output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["input", "r", "methods", "max_diff", "ok"])
-        for row in rows:
-            writer.writerow(
-                [row["input"], row["r"], row["methods"], _cell(row["max_diff"]), row["ok"]]
-            )
-    else:
-        for row in rows:
-            mark = "ok" if row["ok"] else "FAIL"
-            print(
-                f"{row['input']}  r={row['r']}  methods={row['methods']}  "
-                f"max_diff={row['max_diff']:.15g}  {mark}"
-            )
-        print(f"{'VERIFY OK' if ok else 'VERIFY FAIL'} worst={worst:.15g} over {len(inputs)} input(s)")
+    emit_records(
+        rows,
+        cfg.output,
+        VERIFY_COLUMNS,
+        summary={"ok": ok, "worst": f15(worst)},
+        text=VERIFY_TEXT,
+        footer=f"{'VERIFY OK' if ok else 'VERIFY FAIL'} worst={worst:.15g} over {len(inputs)} input(s)",
+    )
     return 0 if ok else 1
 
 
@@ -355,8 +314,7 @@ def cmd_lens(args) -> int:
         cfg = _load_config(args, ("auto",))
         lens = LensSpace(args.p, args.q)
     except ValueError as exc:
-        _fail(str(exc))
-        return 2
+        return _fail(str(exc))
     records = []
     worst = 0.0
     for r in cfg.r_values:
@@ -369,16 +327,12 @@ def cmd_lens(args) -> int:
                     "r": r,
                     "method": "lens_direct",
                     "route": route,
-                    "re": f15(val.real),
-                    "im": f15(val.imag),
-                    "abs": f15(abs(val)),
-                    "phase": f15(cmath.phase(val)),
+                    **_value_fields(val),
                     "sigma": sigma,
                     "diff": f15(diff),
                 }
             )
-    cols = ["r", "method", "route", "re", "im", "abs", "phase", "sigma", "diff"]
-    emit_records(records, cfg.output, cols)
+    emit_records(records, cfg.output, LENS_COLUMNS)
     return 0 if worst < cfg.tolerance else 1
 
 
@@ -387,30 +341,23 @@ def cmd_axioms(args) -> int:
         cfg = _load_config(args, ("auto",))
         datum = load_datum(args.datum) if args.datum else None
     except (ValueError, OSError) as exc:
-        _fail(str(exc))
-        return 2
+        return _fail(str(exc))
     rows = []
-    ok = True
 
-    def add(r_label, kind: str, name: str, residual: float, gate: float) -> None:
-        nonlocal ok
-        good = residual < gate
-        ok = ok and good
+    def add(r_label, kind: str, name: str, residual: float) -> None:
         rows.append(
-            {"r": r_label, "check": f"{kind}.{name}", "residual": f15(residual), "ok": good}
+            {
+                "r": r_label,
+                "check": f"{kind}.{name}",
+                "residual": f15(residual),
+                "ok": residual < cfg.tolerance,
+            }
         )
 
-    targets = (
-        [(datum.n_labels + 1, datum)]
-        if datum is not None
-        else [(r, sl2_datum(r)) for r in cfg.r_values]
-    )
-    for r, dm in targets:
+    for dm in [datum] if datum is not None else [sl2_datum(r) for r in cfg.r_values]:
         for name, residual in check_axioms(dm).items():
-            add(r, "axiom", name, residual, cfg.tolerance)
+            add(dm.n_labels + 1, "axiom", name, residual)
     if datum is None:
-        import numpy as np
-
         for r in cfg.r_values:
             gen = r_rep_generators(r)
             eye = np.eye(r - 1)
@@ -419,19 +366,17 @@ def cmd_axioms(args) -> int:
             cube = txi @ txi @ txi
             txi3 = float(np.max(np.abs(cube - eye)))
             unit = float(np.max(np.abs(gen.xi @ gen.xi.conj().T - eye)))
-            add(r, "rep", "xi_squared", xi2, cfg.tolerance)
-            add(r, "rep", "theta_xi_cubed", txi3, cfg.tolerance)
-            add(r, "rep", "xi_unitary", unit, cfg.tolerance)
+            add(r, "rep", "xi_squared", xi2)
+            add(r, "rep", "theta_xi_cubed", txi3)
+            add(r, "rep", "xi_unitary", unit)
     ded = 0.0
     for q in range(1, 31):
         for s in range(1, q + 1):
             if math.gcd(s, q) != 1:
                 continue
             ded = max(ded, abs(float(dedekind_sum(s, q)) - dedekind_sum_cotangent(s, q)))
-    add("-", "numbers", "dedekind_recursion_vs_cotangent", ded, cfg.tolerance)
+    add("-", "numbers", "dedekind_recursion_vs_cotangent", ded)
     rng = random.Random(7)
-    from .sl2z import b_matrix, sign as _sign
-
     coc = 0
     for _ in range(50):
         mats = [
@@ -441,44 +386,44 @@ def cmd_axioms(args) -> int:
         a1, a2 = mats
         a3 = a1 * a2
         lhs = rademacher_phi(a3)
-        rhs = rademacher_phi(a1) + rademacher_phi(a2) - 3 * _sign(a1.c * a2.c * a3.c)
+        rhs = rademacher_phi(a1) + rademacher_phi(a2) - 3 * sign(a1.c * a2.c * a3.c)
         coc = max(coc, abs(lhs - rhs))
-    add("-", "numbers", "rademacher_cocycle", float(coc), cfg.tolerance)
-    if cfg.output == "json":
-        print(json.dumps({"ok": ok, "rows": rows}, indent=1))
-    elif cfg.output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["r", "check", "residual", "ok"])
-        for row in rows:
-            writer.writerow([row["r"], row["check"], _cell(row["residual"]), row["ok"]])
-    else:
-        for row in rows:
-            mark = "ok" if row["ok"] else "FAIL"
-            print(f"r={row['r']:<4} {row['check']:<42} {row['residual']:.3e}  {mark}")
-        print("AXIOMS OK" if ok else "AXIOMS FAIL")
+    add("-", "numbers", "rademacher_cocycle", float(coc))
+    ok = all(row["ok"] for row in rows)
+    emit_records(
+        rows,
+        cfg.output,
+        AXIOMS_COLUMNS,
+        summary={"ok": ok},
+        text=AXIOMS_TEXT,
+        footer="AXIOMS OK" if ok else "AXIOMS FAIL",
+    )
     return 0 if ok else 1
 
 
-def _add_common(sp, with_datum: bool = True) -> None:
+def _add_common(sp, cf_style: bool = False, cap: bool = False, datum: bool = False) -> None:
+    """--r, --format and --tolerance, plus the flags the subcommand reads."""
     sp.add_argument("--r", default="3..10", help="level r or inclusive range a..b")
-    sp.add_argument(
-        "--cf-style",
-        choices=("minus", "euclidean"),
-        default="minus",
-        help="continued fraction style",
-    )
+    if cf_style:
+        sp.add_argument(
+            "--cf-style",
+            choices=("minus", "euclidean"),
+            default="minus",
+            help="continued fraction style",
+        )
     sp.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
     sp.add_argument("--tolerance", type=float, default=1e-9, help="agreement gate")
-    sp.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help="total chain length cap for the graph state sum "
-        "(default: RT_COMPLEXITY_CAP env var or 8)",
-    )
-    if with_datum:
+    if cap:
+        sp.add_argument(
+            "--cap",
+            type=int,
+            default=None,
+            help="total chain length cap for the graph state sum "
+            "(default: RT_COMPLEXITY_CAP env var or 8)",
+        )
+    if datum:
         sp.add_argument("--datum", default=None, help="JSON modular datum file")
 
 
@@ -489,38 +434,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("compute", help="evaluate one presentation")
-    sp.add_argument("seifert", help="presentation, e.g. 'o;g=0;b=-1;2/1,3/1,5/1'")
-    sp.add_argument(
-        "--method",
-        action="append",
-        help="comma-separated methods (generic,cs11,compact,graph_sum,section5) "
-        "or 'auto' (default)",
-    )
-    _add_common(sp)
-    sp.set_defaults(func=cmd_compute)
-
-    sp = sub.add_parser("table", help="delimited sweep (r,method,re,im,abs,phase)")
-    sp.add_argument("seifert", help="presentation string")
-    sp.add_argument("--method", action="append", help="methods or 'auto'")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_table)
+    for name, help_text, columns in (
+        ("compute", "evaluate one presentation", COMPUTE_COLUMNS),
+        ("table", "delimited sweep (r,method,re,im,abs,phase)", COMPUTE_COLUMNS[:6]),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("seifert", help="presentation, e.g. 'o;g=0;b=-1;2/1,3/1,5/1'")
+        sp.add_argument(
+            "--method",
+            action="append",
+            help=f"comma-separated methods ({','.join(ROUTES)}) or 'auto' (default)",
+        )
+        _add_common(sp, cf_style=True, cap=True, datum=True)
+        sp.set_defaults(func=cmd_compute, columns=columns)
 
     sp = sub.add_parser("verify", help="cross-check methods against each other")
     sp.add_argument("seifert", nargs="?", default=None, help="presentation string")
     sp.add_argument("--random", type=int, default=None, metavar="N", help="verify N random presentations")
     sp.add_argument("--seed", type=int, default=0, help="seed for --random")
-    _add_common(sp, with_datum=False)
+    _add_common(sp, cf_style=True, cap=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("lens", help="both lens space routes")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    _add_common(sp, with_datum=False)
+    _add_common(sp, cf_style=True)
     sp.set_defaults(func=cmd_lens)
 
     sp = sub.add_parser("axioms", help="datum and identity residual report")
-    _add_common(sp)
+    _add_common(sp, datum=True)
     sp.set_defaults(func=cmd_axioms)
 
     return parser

@@ -13,8 +13,10 @@ deliberately separate so they cross-check each other:
   tau_section5   chain decomposition with explicit framing bookkeeping
                  (orientable base)
 
-plus a lens space evaluator with two internal routes, Verlinde dimensions,
-and conversion between the common output normalizations.
+ROUTES names the five, in this order, with an adapter and where each
+applies.  There is also a lens space evaluator with two internal routes,
+Verlinde dimensions, and conversion between the common output
+normalizations.
 
 Conventions: tau_r(S^3) = D^{-1}, tau_r(S^1 x S^2) = 1, labels are
 0-based array indices with the unit label at 0 (sl2 label j sits at
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,9 +63,6 @@ from .sl2z import (
     sign,
     signature_exact,
 )
-
-METHODS = ("generic", "cs11", "compact", "graph_sum", "section5", "lens_direct")
-
 
 class ComplexityCap(RuntimeError):
     """Requested evaluation exceeds the configured complexity caps."""
@@ -394,6 +394,36 @@ def tau_section5(
     return InvariantResult(
         complex(val), r, "section5", expo, cf_style, _tol(r, mtot + n_comp)
     )
+
+
+@dataclass(frozen=True)
+class Route:
+    """One route as the command line runs it.
+
+    run(datum, data, cf_style, cap) adapts the route's tau_* function to
+    one signature, with cap the total chain length cap of graph_sum.
+    sl2_only routes need the built-in sl2 datum; orientable_only routes
+    need an orientable base.
+    """
+
+    run: Callable[[ModularDatum, SeifertData, str, int], InvariantResult]
+    sl2_only: bool = False
+    orientable_only: bool = False
+
+
+# Adapters only: the routes must not share numeric code through this table,
+# since their agreement is the cross-check.  The order is the output order.
+ROUTES = {
+    "generic": Route(lambda dm, data, cf, cap: tau_generic(dm, data, cf)),
+    "cs11": Route(lambda dm, data, cf, cap: tau_cs11(dm.n_labels + 1, data), sl2_only=True),
+    "compact": Route(lambda dm, data, cf, cap: tau_compact(dm.n_labels + 1, data), sl2_only=True),
+    "graph_sum": Route(
+        lambda dm, data, cf, cap: tau_graph_sum(dm, data, cf, chain_cap=cap), orientable_only=True
+    ),
+    "section5": Route(lambda dm, data, cf, cap: tau_section5(dm, data, cf), orientable_only=True),
+}
+
+METHODS = (*ROUTES, "lens_direct")
 
 
 def tau_lens_routes(

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,6 @@ import pytest
 from seifert_rt.cli import (
     RunConfig,
     f15,
-    graph_sum_feasible,
     main,
     parse_r_spec,
     random_seifert,
@@ -62,17 +62,6 @@ def test_random_seifert_is_seed_stable():
     a = [random_seifert(random.Random(42)) for _ in range(5)]
     b = [random_seifert(random.Random(42)) for _ in range(5)]
     assert a == b
-
-
-def test_graph_sum_feasible():
-    from seifert_rt.seifert import parse_seifert
-
-    cfg = RunConfig(r_values=(5,), methods=("auto",))
-    assert graph_sum_feasible(parse_seifert(POINCARE), 5, cfg)
-    assert not graph_sum_feasible(parse_seifert(POINCARE), 12, cfg)
-    assert not graph_sum_feasible(parse_seifert("n;g=1;b=0;"), 5, cfg)
-    tight = RunConfig(r_values=(5,), methods=("auto",), complexity_cap=2)
-    assert not graph_sum_feasible(parse_seifert(POINCARE), 5, tight)
 
 
 def test_run_config_validation():
@@ -161,6 +150,40 @@ def test_complexity_cap_env_and_flag(capsys, monkeypatch):
     assert code == 0
 
 
+def test_auto_graph_sum_within_caps(capsys):
+    # auto runs graph_sum where its caps allow and skips it elsewhere
+    def auto_route_names(presentation, *flags):
+        code, out, _ = run_cli(
+            capsys, ["compute", presentation, "--format", "json", *flags]
+        )
+        assert code == 0
+        return [rec["method"] for rec in json.loads(out)]
+
+    assert "graph_sum" in auto_route_names(POINCARE, "--r", "5")
+    assert "graph_sum" not in auto_route_names(POINCARE, "--r", "12")
+    assert "graph_sum" not in auto_route_names("n;g=1;b=0;", "--r", "5")
+    assert "graph_sum" not in auto_route_names(POINCARE, "--r", "5", "--cap", "2")
+
+
+def test_auto_mixed_with_methods_is_unknown(capsys):
+    code, _, err = run_cli(
+        capsys, ["compute", POINCARE, "--r", "3", "--method", "auto,generic"]
+    )
+    assert code == 2
+    assert "unknown method 'auto'" in err
+
+
+def test_lens_direct_only_via_lens(capsys, tmp_path):
+    path = tmp_path / "d5.json"
+    save_datum(sl2_datum(5), str(path))
+    for extra in ([], ["--datum", str(path)]):
+        code, _, err = run_cli(
+            capsys, ["compute", POINCARE, "--r", "3", "--method", "lens_direct", *extra]
+        )
+        assert code == 2
+        assert "unknown method 'lens_direct'" in err
+
+
 def test_auto_skips_infeasible_graph_sum(capsys):
     # at r = 12 the state sum is out of range; auto must not attempt it
     code, out, _ = run_cli(
@@ -221,6 +244,14 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert "VERIFY FAIL" in out
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_random_needs_positive_count(capsys, count):
+    code, out, err = run_cli(capsys, ["verify", "--random", count, "--r", "3"])
+    assert code == 2
+    assert out == ""
+    assert "--random" in err
+
+
 def test_verify_needs_exactly_one_input_mode(capsys):
     code, _, err = run_cli(capsys, ["verify", "--r", "3"])
     assert code == 2
@@ -244,6 +275,27 @@ def test_lens_csv(capsys):
         assert abs(float(row["re"]) - (-0.415626937777453)) < 1e-9
         assert abs(float(row["im"]) - (-0.572061402817684)) < 1e-9
         assert float(row["diff"]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lens", "5", "4", "--cap", "3"],
+        ["axioms", "--cap", "3"],
+        ["axioms", "--cf-style", "minus"],
+    ],
+)
+def test_unread_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_lens_and_axioms_ignore_cap_env(capsys, monkeypatch):
+    monkeypatch.setenv("RT_COMPLEXITY_CAP", "x")
+    assert run_cli(capsys, ["lens", "5", "4", "--r", "3"])[0] == 0
+    assert run_cli(capsys, ["axioms", "--r", "3"])[0] == 0
+    assert run_cli(capsys, ["compute", POINCARE, "--r", "3"])[0] == 2
 
 
 def test_lens_rejects_non_coprime(capsys):
@@ -302,6 +354,62 @@ def test_datum_file_forbids_number_theory_routes(capsys, tmp_path):
     )
     assert code == 2
     assert "datum" in err
+
+
+# ----------------------------------------------------------- output shape
+
+# argv, CSV header, JSON summary keys (None: a bare list of rows), and the
+# text footer pattern (None: an aligned table whose first line is the header)
+OUTPUT_SHAPES = {
+    "compute": (
+        ["compute", POINCARE, "--r", "3"],
+        "r,method,re,im,abs,phase,sigma,tolerance",
+        None,
+        None,
+    ),
+    "table": (["table", POINCARE, "--r", "3"], "r,method,re,im,abs,phase", None, None),
+    "lens": (
+        ["lens", "5", "4", "--r", "3"],
+        "r,method,route,re,im,abs,phase,sigma,diff",
+        None,
+        None,
+    ),
+    "verify": (
+        ["verify", POINCARE, "--r", "3"],
+        "input,r,methods,max_diff,ok",
+        ["ok", "worst"],
+        r"VERIFY OK worst=\S+ over 1 input\(s\)",
+    ),
+    "axioms": (["axioms", "--r", "3"], "r,check,residual,ok", ["ok"], "AXIOMS OK"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHAPES))
+def test_output_shape(capsys, command, fmt):
+    argv, header, summary, footer = OUTPUT_SHAPES[command]
+    code, out, _ = run_cli(capsys, [*argv, "--format", fmt])
+    assert code == 0
+    columns = header.split(",")
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == header
+        assert len(lines) > 1
+    elif fmt == "json":
+        doc = json.loads(out)
+        if summary is None:
+            assert isinstance(doc, list)
+            rows = doc
+        else:
+            assert isinstance(doc, dict)
+            assert list(doc) == [*summary, "rows"]
+            rows = doc["rows"]
+        assert rows
+        assert all(list(row) == columns for row in rows)
+    elif footer is None:
+        assert lines[0].split() == columns
+    else:
+        assert re.fullmatch(footer, lines[-1])
 
 
 # ------------------------------------------------------------- subprocess
