@@ -152,10 +152,6 @@ def check_axioms(datum: ModularDatum, tol: float = 1e-10) -> dict[str, float]:
     return out
 
 
-def axioms_pass(report: dict[str, float], tol: float = 1e-10) -> bool:
-    return all(v < tol for v in report.values())
-
-
 def g_matrix(datum: ModularDatum, entries: Sequence[int]) -> np.ndarray:
     """T^{a_n} S ... T^{a_1} S for digits (a_1, ..., a_n), T = diag(v)."""
     G = np.eye(datum.n_labels, dtype=complex)
@@ -187,10 +183,6 @@ class RRep:
     r: int
     xi: np.ndarray
     theta_diag: np.ndarray
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.diag(self.theta_diag)
 
 
 @lru_cache(maxsize=None)

@@ -247,7 +247,7 @@ def test_criterion_07_representation_suite():
         n = r - 1
         eye = np.eye(n)
         worst_rel = max(worst_rel, float(np.max(np.abs(gen.xi @ gen.xi - eye))))
-        tx = gen.theta @ gen.xi
+        tx = np.diag(gen.theta_diag) @ gen.xi
         worst_rel = max(worst_rel, float(np.max(np.abs(tx @ tx @ tx - eye))))
         worst_rel = max(
             worst_rel, float(np.max(np.abs(gen.xi @ gen.xi.conj().T - eye)))

@@ -3,11 +3,16 @@ dimensions and output normalizations."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifert_rt.invariants import (
     METHODS,
@@ -28,12 +33,15 @@ from seifert_rt.invariants import (
 from seifert_rt.modular import MissingEpsilon, ModularDatum, sl2_datum
 from seifert_rt.seifert import (
     LensSpace,
+    SeifertData,
     UnsupportedBase,
+    euler_number,
     normalize,
     parse_seifert,
     reverse_orientation,
     seifert_from_lens,
 )
+from seifert_rt.sl2z import dedekind_sum, sign
 
 POINCARE = parse_seifert("o;g=0;b=-1;2/1,3/1,5/1")
 S3_PLUS = parse_seifert("o;g=0;b=1;")
@@ -119,6 +127,150 @@ def test_orientation_reversal_conjugates():
             a = tau_cs11(r, data).value
             b = tau_cs11(r, rev).value
             assert abs(b - a.conjugate()) < 1e-10
+
+
+# ------------------------------------------------ cs11 per-fiber Gauss sums
+
+
+def cs11_grid(r, data):
+    """Reference: the cs11 sum over the whole (mu, m) grid of all fibers,
+    with every phase taken over the common denominator r prod alpha_j."""
+    pairs = data.pairs
+    n = len(pairs)
+    ae = 2 if data.base == "o" else 1
+    aeg = ae * data.genus
+    e = euler_number(data)
+    es = sign(e)
+    A = math.prod(alpha for alpha, _ in pairs)
+    dsum = sum((dedekind_sum(beta, alpha) for alpha, beta in pairs), Fraction(0))
+    x = Fraction(3 * (ae - 1) * es) - e - 12 * dsum
+    pref = cmath.exp(1j * math.pi * float(x % (4 * r)) / (2 * r))
+    pref *= (-1) ** aeg * 1j**n * r ** (aeg / 2 - 1) / 2 ** (n + aeg / 2 - 1)
+    pref /= math.sqrt(A)
+    pref *= cmath.exp(1j * 3 * math.pi * (1 - ae) * es / 4)
+
+    L = r * A
+    NH = np.zeros(1, dtype=np.int64)
+    NG = np.zeros(1, dtype=np.int64)
+    SG = np.ones(1, dtype=np.int64)
+    for alpha, beta in pairs:
+        bstar = 0 if alpha == 1 else pow(beta % alpha, -1, alpha)
+        bh, bg, bs = [], [], []
+        for mu in (1, -1):
+            for mm in range(alpha):
+                bh.append(-(A // alpha) * (2 * r * mm + mu))
+                bg.append(-2 * r * (A // alpha) * bstar * (r * mm * mm + mu * mm))
+                bs.append(mu)
+        NH = (NH[:, None] + np.array(bh, dtype=np.int64)[None, :]).ravel()
+        NG = (NG[:, None] + np.array(bg, dtype=np.int64)[None, :]).ravel()
+        SG = (SG[:, None] * np.array(bs, dtype=np.int64)[None, :]).ravel()
+    base_vec = SG * np.exp(1j * math.pi * (NG % (2 * L)) / L)
+    gam = np.arange(1, r, dtype=np.int64)
+    phases = (gam[:, None] * NH[None, :]) % (2 * L)
+    W = np.exp(1j * math.pi * phases / L) @ base_vec
+
+    sgn_g = np.where((gam * aeg) % 2 == 1, -1.0, 1.0)
+    den_e = 2 * r * e.denominator
+    ph_e = np.exp(1j * math.pi * ((e.numerator * gam * gam) % (2 * den_e)) / den_e)
+    sins = np.sin(np.pi * gam / r) ** (2 - n - aeg)
+    return complex(pref * np.sum(sgn_g * ph_e * sins * W))
+
+
+def cs11_mpmath(r, data, dps=40):
+    """Reference: the factored cs11 sum in mpmath at dps digits, every
+    phase an exact Fraction of pi."""
+
+    def expjpi(f):
+        f = Fraction(f)
+        return mpmath.expjpi(mpmath.mpf(f.numerator) / f.denominator)
+
+    with mpmath.workdps(dps):
+        pairs = data.pairs
+        n = len(pairs)
+        ae = 2 if data.base == "o" else 1
+        aeg = ae * data.genus
+        e = euler_number(data)
+        es = sign(e)
+        x = 3 * (ae - 1) * es - e - 12 * sum(dedekind_sum(b, a) for a, b in pairs)
+        half = mpmath.mpf(aeg) / 2
+        pref = expjpi(x / (2 * r)) * expjpi(Fraction(3 * (1 - ae) * es, 4))
+        pref *= (-1) ** aeg * mpmath.mpc(0, 1) ** n * mpmath.mpf(r) ** (half - 1)
+        pref /= mpmath.mpf(2) ** (n + half - 1) * mpmath.sqrt(math.prod(a for a, _ in pairs))
+        total = mpmath.mpc(0)
+        for gam in range(1, r):
+            w = mpmath.mpc(1)
+            for a, b in pairs:
+                bstar = 0 if a == 1 else pow(b % a, -1, a)
+                w *= sum(
+                    mu * expjpi(Fraction(-(gam * (2 * r * m + mu) + 2 * r * bstar * (r * m * m + mu * m)), r * a))
+                    for mu in (1, -1)
+                    for m in range(a)
+                )
+            total += (
+                (-1) ** (gam * aeg)
+                * expjpi(Fraction(e.numerator * gam * gam, 2 * r * e.denominator))
+                * mpmath.sinpi(mpmath.mpf(gam) / r) ** (2 - n - aeg)
+                * w
+            )
+        return complex(pref * total)
+
+
+@st.composite
+def small_seifert(draw):
+    """Both bases, genus 0..2, 1..3 fibers with alpha <= 7, both shapes."""
+    base = draw(st.sampled_from(("o", "n")))
+    genus = draw(st.integers(1 if base == "n" else 0, 2))
+    normalized = draw(st.booleans())
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = draw(st.integers(2 if normalized else 1, 7))
+        betas = st.integers(1, alpha - 1) if normalized else st.integers(-7, 7)
+        beta = draw(betas.filter(lambda x, a=alpha: math.gcd(x, a) == 1))
+        pairs.append((alpha, beta))
+    b = draw(st.integers(-3, 3)) if normalized else None
+    return SeifertData(base, genus, b, tuple(pairs))
+
+
+@given(data=small_seifert(), r=st.integers(3, 30))
+@settings(max_examples=150, deadline=None)
+def test_cs11_matches_grid_formula(data, r):
+    res = tau_cs11(r, data)
+    assert abs(res.value - cs11_grid(r, data)) <= res.tolerance_estimate
+
+
+@pytest.mark.parametrize(
+    "text", ["o;g=0;b=-1;97/5,101/7,103/9", "n;g=1;b=2;97/5,101/7,103/9"]
+)
+def test_cs11_large_fibers_match_other_routes(text):
+    data = parse_seifert(text)
+    r = 50
+    ours = tau_cs11(r, data)
+    for other in (tau_compact(r, data), tau_generic(sl2_datum(r), data)):
+        gap = abs(ours.value - other.value)
+        assert gap <= ours.tolerance_estimate + other.tolerance_estimate, other.method
+
+
+@pytest.mark.parametrize(
+    "text, r",
+    [
+        ("o;g=0;b=-1;2/1,3/1,5/1", 200),
+        ("o;g=1;b=2;7/3,11/4,13/5", 50),
+        ("n;g=1;b=2;7/3,11/4,13/5", 120),
+        ("n;g=2;b=-3;5/2,7/3", 150),
+        pytest.param(
+            "o;g=2;b=0;7/3,5/2",
+            100,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="|tau| = 3e6 here and the absolute error model does not scale with it",
+            ),
+        ),
+    ],
+)
+def test_cs11_mpmath_reference(text, r):
+    data = parse_seifert(text)
+    res = tau_cs11(r, data)
+    assert abs(res.value - cs11_mpmath(r, data)) <= res.tolerance_estimate
 
 
 # ------------------------------------------------------------ lens spaces

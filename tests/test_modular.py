@@ -15,7 +15,6 @@ from seifert_rt.modular import (
     InvalidLevel,
     MissingEpsilon,
     ModularDatum,
-    axioms_pass,
     check_axioms,
     datum_from_dict,
     datum_to_dict,
@@ -109,7 +108,7 @@ def test_axioms_hold(r):
         "s_unitarity",
     }
     tol = 1e-12 if r <= 10 else 1e-9
-    assert axioms_pass(report, tol), report
+    assert all(v < tol for v in report.values()), report
 
 
 def test_axioms_flag_perturbed_s():
@@ -117,7 +116,7 @@ def test_axioms_flag_perturbed_s():
     S = np.array(d.S)
     S[1, 2] += 1e-4
     bad = ModularDatum(d.n_labels, S, np.array(d.v), np.array(d.dims), d.D, d.delta, d.dual, d.eps)
-    assert not axioms_pass(check_axioms(bad), 1e-10)
+    assert not all(v < 1e-10 for v in check_axioms(bad).values())
 
 
 @pytest.mark.parametrize("r", range(3, 13))
@@ -133,7 +132,7 @@ def test_mirror_datum():
     m = mirror_datum(d)
     assert np.allclose(m.v * d.v, 1.0, atol=1e-14)
     assert abs(m.delta - d.delta.conjugate()) < 1e-12
-    assert axioms_pass(check_axioms(m), 1e-10)
+    assert all(v < 1e-10 for v in check_axioms(m).values())
     back = mirror_datum(m)
     assert np.allclose(back.S, d.S, atol=1e-14)
     assert np.allclose(back.v, d.v, atol=1e-14)
@@ -172,7 +171,7 @@ def test_generator_relations(r):
     n = r - 1
     xi2 = gen.xi @ gen.xi
     assert np.max(np.abs(xi2 - np.eye(n))) < 1e-12
-    tx = gen.theta @ gen.xi
+    tx = np.diag(gen.theta_diag) @ gen.xi
     assert np.max(np.abs(tx @ tx @ tx - np.eye(n))) < 1e-12
     assert np.max(np.abs(gen.xi @ gen.xi.conj().T - np.eye(n))) < 1e-12
 
