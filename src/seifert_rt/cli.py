@@ -13,9 +13,14 @@ that exceeds a complexity cap; a method named with --method that exceeds
 a cap exits with code 3.  lens_direct is reached only through lens.
 Every subcommand prints through emit_records.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input or
-configuration, 3 complexity cap exceeded.  Output is byte-identical for
-identical inputs, options, and seed.
+Each setting is checked once: by argparse (choices, or the type= of
+--tolerance and --cap) or by the function that consumes it (parse_r_spec
+for --r, evaluate for --method).  A subcommand takes only the flags it
+reads; --cap defaults to invariants.CHAIN_CAP.
+
+Exit codes, mapped from errors in main alone: 0 success, 1 verification
+failure, 2 malformed input or configuration, 3 complexity cap exceeded.
+Output is byte-identical for identical inputs, options, and seed.
 """
 
 from __future__ import annotations
@@ -25,59 +30,30 @@ import cmath
 import csv
 import json
 import math
-import os
 import random
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .invariants import ROUTES, ComplexityCap, InvariantResult, tau_lens_routes
+from .invariants import CHAIN_CAP, ROUTES, ComplexityCap, InvariantResult, tau_lens_routes
 from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
 from .seifert import LensSpace, SeifertData, parse_seifert
 from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by the subcommands."""
-
-    r_values: tuple[int, ...]
-    methods: tuple[str, ...]
-    cf_style: str = "minus"
-    tolerance: float = 1e-9
-    output: str = "text"
-    complexity_cap: int = 8
-
-    def __post_init__(self) -> None:
-        if not self.r_values:
-            raise ValueError("need at least one level r")
-        for r in self.r_values:
-            if r < 2:
-                raise ValueError(f"need r >= 2, got {r}")
-        for m in self.methods:
-            if m != "auto" and m not in ROUTES:
-                raise ValueError(f"unknown method {m!r}")
-        if self.cf_style not in ("minus", "euclidean"):
-            raise ValueError(f"unknown cf style {self.cf_style!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.output not in ("text", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output!r}")
-        if self.complexity_cap < 0:
-            raise ValueError("complexity cap must be non-negative")
-
-
 def parse_r_spec(text: str) -> tuple[int, ...]:
-    """"a" or an inclusive range "a..b"."""
+    """"a" or an inclusive range "a..b" of levels r >= 2."""
     t = text.strip()
     if ".." in t:
         lo_s, hi_s = t.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if lo > hi:
             raise ValueError(f"empty range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(t),)
+    else:
+        lo = hi = int(t)
+    if lo < 2:
+        raise ValueError(f"need r >= 2, got {lo}")
+    return tuple(range(lo, hi + 1))
 
 
 def f15(x: float) -> float:
@@ -117,19 +93,20 @@ def random_seifert(rng: random.Random) -> SeifertData:
 
 
 def evaluate(
-    method: str, data: SeifertData, r: int, cfg: RunConfig, datum: ModularDatum | None = None
+    method: str, data: SeifertData, r: int, args, datum: ModularDatum | None = None
 ) -> InvariantResult:
+    """One route at level r, with the --cf-style and --cap of args."""
     route = ROUTES.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
     if route.sl2_only and datum is not None:
         raise ValueError(f"method {method!r} needs the built-in sl2 datum")
     dm = datum if datum is not None else sl2_datum(r)
-    return route.run(dm, data, cfg.cf_style, cfg.complexity_cap)
+    return route.run(dm, data, args.cf_style, args.cap)
 
 
 def run_routes(
-    data: SeifertData, r: int, cfg: RunConfig, datum: ModularDatum | None = None
+    data: SeifertData, r: int, methods: tuple[str, ...], args, datum: ModularDatum | None = None
 ) -> list[InvariantResult]:
     """The requested methods at level r, in order.
 
@@ -137,8 +114,8 @@ def run_routes(
     and skips one that exceeds a complexity cap; a method named
     explicitly lets ComplexityCap propagate.
     """
-    if cfg.methods != ("auto",):
-        return [evaluate(m, data, r, cfg, datum) for m in cfg.methods]
+    if methods != ("auto",):
+        return [evaluate(m, data, r, args, datum) for m in methods]
     results = []
     for name, route in ROUTES.items():
         if (route.sl2_only and datum is not None) or (
@@ -146,7 +123,7 @@ def run_routes(
         ):
             continue
         try:
-            results.append(evaluate(name, data, r, cfg, datum))
+            results.append(evaluate(name, data, r, args, datum))
         except ComplexityCap:
             continue
     return results
@@ -215,27 +192,6 @@ def _cell(val) -> str:
     return str(val)
 
 
-def _fail(msg: str, code: int = 2) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
-
-
-def _load_config(args, methods: tuple[str, ...]) -> RunConfig:
-    # lens and axioms take no --cap (nor read RT_COMPLEXITY_CAP), axioms no --cf-style
-    cap = getattr(args, "cap", 8)
-    if cap is None:
-        cap_env = os.environ.get("RT_COMPLEXITY_CAP")
-        cap = int(cap_env) if cap_env else 8
-    return RunConfig(
-        r_values=parse_r_spec(args.r),
-        methods=methods,
-        cf_style=getattr(args, "cf_style", "minus"),
-        tolerance=args.tolerance,
-        output=args.format,
-        complexity_cap=cap,
-    )
-
-
 def _method_list(args) -> tuple[str, ...]:
     entries = args.method or ["auto"]
     return tuple(m.strip() for entry in entries for m in entry.split(",") if m.strip())
@@ -251,56 +207,44 @@ AXIOMS_TEXT = "r={r:<4} {check:<42} {residual:.3e}  {mark}"
 
 def cmd_compute(args) -> int:
     """compute and table; they differ only in args.columns."""
-    try:
-        data = parse_seifert(args.seifert)
-        cfg = _load_config(args, _method_list(args))
-        datum = load_datum(args.datum) if args.datum else None
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-    r_values = (datum.n_labels + 1,) if datum is not None else cfg.r_values
-    try:
-        results = [res for r in r_values for res in run_routes(data, r, cfg, datum)]
-    except ComplexityCap as exc:
-        return _fail(str(exc), 3)
-    except ValueError as exc:
-        return _fail(str(exc))
-    emit_records([result_record(res) for res in results], cfg.output, args.columns)
+    data = parse_seifert(args.seifert)
+    r_values = parse_r_spec(args.r)
+    datum = load_datum(args.datum) if args.datum else None
+    if datum is not None:
+        r_values = (datum.n_labels + 1,)  # the datum fixes r; --r is still checked
+    methods = _method_list(args)
+    results = [res for r in r_values for res in run_routes(data, r, methods, args, datum)]
+    emit_records([result_record(res) for res in results], args.format, args.columns)
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load_config(args, ("auto",))
-    except ValueError as exc:
-        return _fail(str(exc))
+    r_values = parse_r_spec(args.r)
     if args.random is not None:
         if args.seifert is not None:
-            return _fail("give either a presentation or --random, not both")
+            raise ValueError("give either a presentation or --random, not both")
         if args.random < 1:
-            return _fail(f"--random needs N >= 1, got {args.random}")
+            raise ValueError(f"--random needs N >= 1, got {args.random}")
         rng = random.Random(args.seed)
         inputs = [random_seifert(rng) for _ in range(args.random)]
+    elif args.seifert is None:
+        raise ValueError("need a presentation or --random N")
     else:
-        if args.seifert is None:
-            return _fail("need a presentation or --random N")
-        try:
-            inputs = [parse_seifert(args.seifert)]
-        except ValueError as exc:
-            return _fail(str(exc))
+        inputs = [parse_seifert(args.seifert)]
     rows: list[dict] = []
     worst = 0.0
     for data in inputs:
-        for r in cfg.r_values:
-            values = [res.value for res in run_routes(data, r, cfg)]
+        for r in r_values:
+            values = [res.value for res in run_routes(data, r, ("auto",), args)]
             diff = max([0.0] + [abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]])
             worst = max(worst, diff)
             rows.append(
-                dict(input=str(data), r=r, methods=len(values), max_diff=f15(diff), ok=diff < cfg.tolerance)
+                dict(input=str(data), r=r, methods=len(values), max_diff=f15(diff), ok=diff < args.tolerance)
             )
-    ok = worst < cfg.tolerance
+    ok = worst < args.tolerance
     emit_records(
         rows,
-        cfg.output,
+        args.format,
         VERIFY_COLUMNS,
         summary={"ok": ok, "worst": f15(worst)},
         text=VERIFY_TEXT,
@@ -310,15 +254,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lens(args) -> int:
-    try:
-        cfg = _load_config(args, ("auto",))
-        lens = LensSpace(args.p, args.q)
-    except ValueError as exc:
-        return _fail(str(exc))
+    r_values = parse_r_spec(args.r)
+    lens = LensSpace(args.p, args.q)
     records = []
     worst = 0.0
-    for r in cfg.r_values:
-        v1, v2, sigma = tau_lens_routes(r, lens, cfg.cf_style)
+    for r in r_values:
+        v1, v2, sigma = tau_lens_routes(r, lens, args.cf_style)
         diff = abs(v1 - v2)
         worst = max(worst, diff)
         for route, val in (("matrix", v1), ("chain", v2)):
@@ -332,16 +273,13 @@ def cmd_lens(args) -> int:
                     "diff": f15(diff),
                 }
             )
-    emit_records(records, cfg.output, LENS_COLUMNS)
-    return 0 if worst < cfg.tolerance else 1
+    emit_records(records, args.format, LENS_COLUMNS)
+    return 0 if worst < args.tolerance else 1
 
 
 def cmd_axioms(args) -> int:
-    try:
-        cfg = _load_config(args, ("auto",))
-        datum = load_datum(args.datum) if args.datum else None
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
+    r_values = parse_r_spec(args.r)
+    datum = load_datum(args.datum) if args.datum else None
     rows = []
 
     def add(r_label, kind: str, name: str, residual: float) -> None:
@@ -350,15 +288,15 @@ def cmd_axioms(args) -> int:
                 "r": r_label,
                 "check": f"{kind}.{name}",
                 "residual": f15(residual),
-                "ok": residual < cfg.tolerance,
+                "ok": residual < args.tolerance,
             }
         )
 
-    for dm in [datum] if datum is not None else [sl2_datum(r) for r in cfg.r_values]:
+    for dm in [datum] if datum is not None else [sl2_datum(r) for r in r_values]:
         for name, residual in check_axioms(dm).items():
             add(dm.n_labels + 1, "axiom", name, residual)
     if datum is None:
-        for r in cfg.r_values:
+        for r in r_values:
             gen = r_rep_generators(r)
             eye = np.eye(r - 1)
             xi2 = float(np.max(np.abs(gen.xi @ gen.xi - eye)))
@@ -392,7 +330,7 @@ def cmd_axioms(args) -> int:
     ok = all(row["ok"] for row in rows)
     emit_records(
         rows,
-        cfg.output,
+        args.format,
         AXIOMS_COLUMNS,
         summary={"ok": ok},
         text=AXIOMS_TEXT,
@@ -401,8 +339,20 @@ def cmd_axioms(args) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sp, cf_style: bool = False, cap: bool = False, datum: bool = False) -> None:
-    """--r, --format and --tolerance, plus the flags the subcommand reads."""
+def _positive_float(text: str) -> float:
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return float(text)
+
+
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return int(text)
+
+
+def _add_common(sp, cf_style=False, tolerance=False, cap=False, datum=False) -> None:
+    """--r and --format, plus the flags the subcommand reads."""
     sp.add_argument("--r", default="3..10", help="level r or inclusive range a..b")
     if cf_style:
         sp.add_argument(
@@ -414,14 +364,14 @@ def _add_common(sp, cf_style: bool = False, cap: bool = False, datum: bool = Fal
     sp.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
-    sp.add_argument("--tolerance", type=float, default=1e-9, help="agreement gate")
+    if tolerance:
+        sp.add_argument("--tolerance", type=_positive_float, default=1e-9, help="agreement gate")
     if cap:
         sp.add_argument(
             "--cap",
-            type=int,
-            default=None,
-            help="total chain length cap for the graph state sum "
-            "(default: RT_COMPLEXITY_CAP env var or 8)",
+            type=_non_negative_int,
+            default=CHAIN_CAP,
+            help="total chain length cap for the graph state sum (default: %(default)s)",
         )
     if datum:
         sp.add_argument("--datum", default=None, help="JSON modular datum file")
@@ -452,25 +402,33 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("seifert", nargs="?", default=None, help="presentation string")
     sp.add_argument("--random", type=int, default=None, metavar="N", help="verify N random presentations")
     sp.add_argument("--seed", type=int, default=0, help="seed for --random")
-    _add_common(sp, cf_style=True, cap=True)
+    _add_common(sp, cf_style=True, tolerance=True, cap=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("lens", help="both lens space routes")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    _add_common(sp, cf_style=True)
+    _add_common(sp, cf_style=True, tolerance=True)
     sp.set_defaults(func=cmd_lens)
 
     sp = sub.add_parser("axioms", help="datum and identity residual report")
-    _add_common(sp, datum=True)
+    _add_common(sp, tolerance=True, datum=True)
     sp.set_defaults(func=cmd_axioms)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place errors become exit codes."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ComplexityCap as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

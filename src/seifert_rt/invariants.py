@@ -64,6 +64,10 @@ from .sl2z import (
     signature_exact,
 )
 
+# default total chain length cap of tau_graph_sum, and of the --cap flag
+CHAIN_CAP = 8
+
+
 class ComplexityCap(RuntimeError):
     """Requested evaluation exceeds the configured complexity caps."""
 
@@ -208,10 +212,11 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
         W *= np.exp(1j * math.pi * ((gam[:, None] * h + q) % mod) / (r * alpha)) @ mu
 
     sgn_g = np.where((gam * aeg) % 2 == 1, -1.0, 1.0)
+    # exp(i pi e gam^2 / 2r) has period 2 den_e in the numerator of e, which
+    # is reduced in Python ints: e.numerator gam^2 can pass 2^63 at any r
     den_e = 2 * r * e.denominator
-    ph_e = np.exp(
-        1j * math.pi * ((e.numerator * gam * gam) % (2 * den_e)) / den_e
-    )
+    num_e = [e.numerator * g * g % (2 * den_e) for g in range(1, r)]
+    ph_e = np.exp(1j * math.pi * np.array(num_e, dtype=float) / den_e)
     sins = np.sin(np.pi * gam / r) ** (2 - n - aeg)
     Z = np.sum(sgn_g * ph_e * sins * W)
     val = pref * Z
@@ -247,12 +252,14 @@ def tau_compact(r: int, data: SeifertData) -> InvariantResult:
     j = np.arange(1, r)
     xi1 = np.sqrt(2.0 / r) * np.sin(np.pi * j / r)
     sgn_j = np.where((j * aeg) % 2 == 1, -1.0, 1.0)
-    tpow = np.exp(1j * math.pi * ((-b * j * j) % (4 * r)) / (2 * r))
+    # w has order 8r and exp(i pi b / 2r) period 4r in b: the integer exponents
+    # are reduced first, to centered residues so that small ones stay as they are
+    tpow = np.exp(1j * math.pi * ((-b % (4 * r) * j * j) % (4 * r)) / (2 * r))
     summand = sgn_j * tpow * cols * xi1 ** (2 - n - aeg)
     pref = (
         (-1) ** aeg
-        * w ** (phis - 3 * (ae - 1) * es)
-        * cmath.exp(1j * math.pi * b / (2 * r))
+        * w ** ((phis - 3 * (ae - 1) * es + 4 * r) % (8 * r) - 4 * r)
+        * cmath.exp(1j * math.pi * ((b + 2 * r) % (4 * r) - 2 * r) / (2 * r))
     )
     val = pref * np.sum(summand)
     return InvariantResult(
@@ -264,7 +271,7 @@ def tau_graph_sum(
     datum: ModularDatum,
     data: SeifertData,
     cf_style: str = "minus",
-    chain_cap: int = 8,
+    chain_cap: int = CHAIN_CAP,
     r_cap: int = 10,
     max_terms: int = 500_000,
 ) -> InvariantResult:
@@ -439,7 +446,8 @@ def tau_lens_routes(
     U = SL2Z(q, -yg, p, xg)
     w = w_phase(r)
     mat = r_rep_word(U, r) if p == 0 else r_rep_gauss(U, r)
-    v1 = w ** rademacher_phi(U) * mat[0, 0]
+    # w has order 8r
+    v1 = w ** ((rademacher_phi(U) + 4 * r) % (8 * r) - 4 * r) * mat[0, 0]
 
     entries = (0, 0, 0) if q == 0 else cf_expand(p, -q, cf_style) + (0,)
     table = convergents(entries)

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -14,13 +15,8 @@ import sys
 
 import pytest
 
-from seifert_rt.cli import (
-    RunConfig,
-    f15,
-    main,
-    parse_r_spec,
-    random_seifert,
-)
+import seifert_rt
+from seifert_rt.cli import f15, main, parse_r_spec, random_seifert
 from seifert_rt.modular import save_datum, sl2_datum
 
 POINCARE = "o;g=0;b=-1;2/1,3/1,5/1"
@@ -42,8 +38,9 @@ def test_parse_r_spec():
         parse_r_spec("6..3")
     with pytest.raises(ValueError):
         parse_r_spec("x")
-    # range syntax itself is agnostic; the level bound is enforced later
-    assert parse_r_spec("1..4") == (1, 2, 3, 4)
+    for text in ("1", "1..4", "-3..5"):
+        with pytest.raises(ValueError, match="r >= 2"):
+            parse_r_spec(text)
 
 
 def test_compute_rejects_too_small_level(capsys):
@@ -64,13 +61,31 @@ def test_random_seifert_is_seed_stable():
     assert a == b
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(r_values=(), methods=("auto",))
-    with pytest.raises(ValueError):
-        RunConfig(r_values=(5,), methods=("auto",), output="yaml")
-    with pytest.raises(ValueError):
-        RunConfig(r_values=(5,), methods=("warp",))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", POINCARE, "--r", "1"],
+        ["compute", POINCARE, "--r", "6..3"],
+        ["compute", POINCARE, "--format", "yaml"],
+        ["compute", POINCARE, "--cf-style", "x"],
+        ["verify", POINCARE, "--tolerance", "0"],
+        ["verify", POINCARE, "--cap", "-1"],
+        ["compute", POINCARE, "--r", "3", "--method", "warp"],
+        ["compute", POINCARE, "--r", "3", "--tolerance", "1e-3"],
+        ["table", POINCARE, "--r", "3", "--tolerance", "1e-3"],
+    ],
+    ids=["r1", "r-empty", "format", "cf-style", "tolerance", "cap", "method", "compute-tol", "table-tol"],
+)
+def test_bad_setting_exits_2(capsys, argv):
+    # argparse exits from inside main; the other checks return the code
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 # ---------------------------------------------------------------- compute
@@ -136,10 +151,9 @@ def test_explicit_graph_sum_beyond_cap_exits_3(capsys):
     assert "cap" in err
 
 
-def test_complexity_cap_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("RT_COMPLEXITY_CAP", "2")
+def test_complexity_cap_flag(capsys):
     code, _, err = run_cli(
-        capsys, ["compute", POINCARE, "--r", "5", "--method", "graph_sum"]
+        capsys, ["compute", POINCARE, "--r", "5", "--method", "graph_sum", "--cap", "2"]
     )
     assert code == 3
     assert "cap" in err
@@ -285,17 +299,11 @@ def test_lens_csv(capsys):
         ["axioms", "--cf-style", "minus"],
     ],
 )
-def test_unread_flags_are_rejected(argv):
+def test_unread_flags_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-
-
-def test_lens_and_axioms_ignore_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("RT_COMPLEXITY_CAP", "x")
-    assert run_cli(capsys, ["lens", "5", "4", "--r", "3"])[0] == 0
-    assert run_cli(capsys, ["axioms", "--r", "3"])[0] == 0
-    assert run_cli(capsys, ["compute", POINCARE, "--r", "3"])[0] == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_lens_rejects_non_coprime(capsys):
@@ -416,11 +424,15 @@ def test_output_shape(capsys, command, fmt):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(seifert_rt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "seifert_rt", "compute", POINCARE, "--r", "3"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "generic" in proc.stdout

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seifert_rt.invariants import (
@@ -238,6 +238,48 @@ def test_cs11_matches_grid_formula(data, r):
     assert abs(res.value - cs11_grid(r, data)) <= res.tolerance_estimate
 
 
+@given(data=small_seifert(), r=st.integers(3, 30), extra=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cs11_and_compact_are_periodic_at_level_r(data, r, extra):
+    """b -> b + 4rK, or beta -> beta + 4r alpha K, leaves tau_r unchanged.
+
+    Every phase is a root of unity of order dividing 8r, so only the
+    integer exponents change, by multiples of their periods.  Both shifts
+    move e by -4rK; K takes the sign that keeps sign(e), which the
+    formulas read, and runs up to about 2^61 / (4 r alpha).
+    """
+    e = euler_number(data)
+    assume(e != 0)
+    j = None if data.normalized else extra.draw(st.integers(0, len(data.pairs) - 1))
+    alpha = 1 if j is None else data.pairs[j][0]
+    k = -sign(e) * extra.draw(st.integers(1, 2**61 // (4 * r * alpha)))
+    if j is None:
+        shifted = SeifertData(data.base, data.genus, data.b + 4 * r * k, data.pairs)
+    else:
+        pairs = list(data.pairs)
+        pairs[j] = (alpha, pairs[j][1] + 4 * r * alpha * k)
+        shifted = SeifertData(data.base, data.genus, None, tuple(pairs))
+    for route in (tau_cs11, tau_compact):
+        ours, theirs = route(r, data), route(r, shifted)
+        gap = abs(ours.value - theirs.value)
+        assert gap <= ours.tolerance_estimate + theirs.tolerance_estimate, route.__name__
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "nn:o;g=0;3/2305843009213693952,2/1",
+        "o;g=0;b=768614336404564650;3/2,2/1",
+        "nn:o;g=1;3/2305843009213693951,2/1,7/-3",
+        "nn:o;g=0;3/1000000007,2/1",
+    ],
+)
+def test_cs11_and_compact_agree_on_huge_slopes(text):
+    data = parse_seifert(text)
+    ours, other = tau_cs11(5, data), tau_compact(5, data)
+    assert abs(ours.value - other.value) <= ours.tolerance_estimate + other.tolerance_estimate
+
+
 @pytest.mark.parametrize(
     "text", ["o;g=0;b=-1;97/5,101/7,103/9", "n;g=1;b=2;97/5,101/7,103/9"]
 )
@@ -309,6 +351,14 @@ def test_lens_internal_routes_agree():
             for r in (3, 6):
                 v1, v2, _ = tau_lens_routes(r, LensSpace(p, q))
                 assert abs(v1 - v2) < 1e-10, (p, q, r)
+
+
+@pytest.mark.parametrize("p, q", [(5, 4), (7, 3), (12, 5)])
+def test_lens_matrix_route_exact_for_huge_q(p, q):
+    # L(p, q + p M) is L(p, q); its matrix route carries phi ~ M
+    for r in (5, 7):
+        want = tau_lens_routes(r, LensSpace(p, q))[0]
+        assert abs(tau_lens_routes(r, LensSpace(p, q + p * 2**58))[0] - want) < 1e-12, r
 
 
 def test_lens_matches_fibered_presentation():
