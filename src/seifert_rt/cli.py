@@ -19,7 +19,8 @@ for --r, evaluate for --method).  A subcommand takes only the flags it
 reads; --cap defaults to invariants.CHAIN_CAP.
 
 Exit codes, mapped from errors in main alone: 0 success, 1 verification
-failure, 2 malformed input or configuration, 3 complexity cap exceeded.
+failure (a value that is not finite fails verify and lens), 2 malformed
+input or configuration, 3 complexity cap exceeded.
 Output is byte-identical for identical inputs, options, and seed.
 """
 
@@ -129,6 +130,15 @@ def run_routes(
     return results
 
 
+def _max_gap(values: list[complex]) -> float:
+    """Largest pairwise difference (0 for fewer than two values), or nan
+    when a value is not finite.  Every gate is a `<` test, which nan and
+    inf fail; worst cases are taken with np.max, which keeps a nan."""
+    if not all(map(cmath.isfinite, values)):
+        return math.nan
+    return max((abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]), default=0.0)
+
+
 def _value_fields(val: complex) -> dict:
     return {
         "re": f15(val.real),
@@ -232,15 +242,16 @@ def cmd_verify(args) -> int:
     else:
         inputs = [parse_seifert(args.seifert)]
     rows: list[dict] = []
-    worst = 0.0
+    diffs = []
     for data in inputs:
         for r in r_values:
             values = [res.value for res in run_routes(data, r, ("auto",), args)]
-            diff = max([0.0] + [abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]])
-            worst = max(worst, diff)
+            diff = _max_gap(values)
+            diffs.append(diff)
             rows.append(
                 dict(input=str(data), r=r, methods=len(values), max_diff=f15(diff), ok=diff < args.tolerance)
             )
+    worst = float(np.max(diffs))
     ok = worst < args.tolerance
     emit_records(
         rows,
@@ -257,11 +268,11 @@ def cmd_lens(args) -> int:
     r_values = parse_r_spec(args.r)
     lens = LensSpace(args.p, args.q)
     records = []
-    worst = 0.0
+    diffs = []
     for r in r_values:
         v1, v2, sigma = tau_lens_routes(r, lens, args.cf_style)
-        diff = abs(v1 - v2)
-        worst = max(worst, diff)
+        diff = _max_gap([v1, v2])
+        diffs.append(diff)
         for route, val in (("matrix", v1), ("chain", v2)):
             records.append(
                 {
@@ -274,7 +285,7 @@ def cmd_lens(args) -> int:
                 }
             )
     emit_records(records, args.format, LENS_COLUMNS)
-    return 0 if worst < args.tolerance else 1
+    return 0 if np.max(diffs) < args.tolerance else 1
 
 
 def cmd_axioms(args) -> int:

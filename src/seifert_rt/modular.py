@@ -152,11 +152,20 @@ def check_axioms(datum: ModularDatum) -> dict[str, float]:
     return out
 
 
-def g_matrix(datum: ModularDatum, entries: Sequence[int]) -> np.ndarray:
-    """T^{a_n} S ... T^{a_1} S for digits (a_1, ..., a_n), T = diag(v)."""
-    G = np.eye(datum.n_labels, dtype=complex)
+def g_matrix(
+    datum: ModularDatum, entries: Sequence[int], start: np.ndarray | None = None
+) -> np.ndarray:
+    """T^{a_n} (S/D) ... T^{a_1} (S/D) start for digits (a_1, ..., a_n).
+
+    T = diag(v) and start is a vector or a matrix, the identity by
+    default.  Each digit costs one product with S: O(n^2) on a vector,
+    O(n^3) on a matrix.  S/D is unitary, so the scale stays put however
+    long the chain; 1/D rides on the twists instead of rebuilding S/D.
+    """
+    G = np.eye(datum.n_labels, dtype=complex) if start is None else start
     for a in entries:
-        G = (datum.v**a)[:, None] * (datum.S @ G)
+        # scale the rows of S @ G; the transposes let G be a vector
+        G = (datum.v**a / datum.D * (datum.S @ G).T).T
     return G
 
 
@@ -220,10 +229,14 @@ def r_rep_word(mat: SL2Z, r: int) -> np.ndarray:
     return out
 
 
-def r_rep_gauss(mat: SL2Z, r: int) -> np.ndarray:
+def r_rep_gauss(
+    mat: SL2Z, r: int, columns: Sequence[int] | None = None
+) -> np.ndarray:
     """Representation matrix entrywise through a finite Gauss sum.
 
-    Needs c != 0 (raises DiagonalCase otherwise).  Identical for mat and
+    Only the given columns (0-based, all by default) are summed, as an
+    (r - 1) x len(columns) array: O(|c| r) work per column.  Needs
+    c != 0 (raises DiagonalCase otherwise).  Identical for mat and
     -mat.  Phases are reduced exactly mod 4 r |c| in integer arithmetic
     before any floating point: a and d first, then each product in turn,
     so every int64 intermediate stays below mod^2, asserted < 2^63.
@@ -236,12 +249,12 @@ def r_rep_gauss(mat: SL2Z, r: int) -> np.ndarray:
     # exp(-i pi phi / 4) has period 8 in phi; the centered residue keeps small phi
     phi = (rademacher_phi(mat) + 4) % 8 - 4
     jj = np.arange(1, r, dtype=np.int64)
-    kk = jj
+    kk = jj if columns is None else jj[list(columns)]
     mod = 4 * r * abs(c)
     assert mod * mod < 2**63, f"int64 Gauss phase overflow at r = {r}, c = {c}"
     a, d = mat.a % mod, mat.d % mod
     dkk = d * kk % mod * kk % mod
-    total = np.zeros((r - 1, r - 1), dtype=complex)
+    total = np.zeros((r - 1, len(kk)), dtype=complex)
     for mu in (1, -1):
         for n in range(abs(c)):
             # |g| < mod / 2

@@ -12,11 +12,14 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import seifert_rt
+from seifert_rt import cli
 from seifert_rt.cli import f15, main, parse_r_spec, random_seifert
+from seifert_rt.invariants import ROUTES
 from seifert_rt.modular import save_datum, sl2_datum
 
 POINCARE = "o;g=0;b=-1;2/1,3/1,5/1"
@@ -258,6 +261,41 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert "VERIFY FAIL" in out
 
 
+def nan_at_level_3(route):
+    """route, except that its value at r = 3 is nan."""
+
+    def run(dm, data, cf, cap):
+        res = route.run(dm, data, cf, cap)
+        return replace(res, value=complex(math.nan)) if res.r == 3 else res
+
+    return replace(route, run=run)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_fails_on_nan(capsys, monkeypatch, fmt):
+    # r = 3 comes first, so later finite rows must not hide the nan
+    monkeypatch.setitem(ROUTES, "generic", nan_at_level_3(ROUTES["generic"]))
+    code, out, _ = run_cli(capsys, ["verify", POINCARE, "--r", "3..5", "--format", fmt])
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[0].endswith("max_diff=nan  FAIL")
+        assert out.splitlines()[-1].startswith("VERIFY FAIL worst=nan")
+    else:
+        doc = json.loads(out)
+        assert not doc["ok"] and math.isnan(doc["worst"])
+        assert [row["ok"] for row in doc["rows"]] == [False, True, True]
+
+
+def test_compute_long_chain(capsys):
+    # the 1001-digit generic chain printed nan while the other routes agreed
+    code, out, _ = run_cli(capsys, ["compute", "nn:o;g=0;2/2001", "--r", "5", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 5
+    for row in rows:
+        assert abs(complex(row["re"], row["im"]) - 0.371748034460184) < 1e-9, row["method"]
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_verify_random_needs_positive_count(capsys, count):
     code, out, err = run_cli(capsys, ["verify", "--random", count, "--r", "3"])
@@ -289,6 +327,19 @@ def test_lens_csv(capsys):
         assert abs(float(row["re"]) - (-0.415626937777453)) < 1e-9
         assert abs(float(row["im"]) - (-0.572061402817684)) < 1e-9
         assert float(row["diff"]) < 1e-9
+
+
+def test_lens_fails_on_nan(capsys, monkeypatch):
+    lens_routes = cli.tau_lens_routes
+
+    def matrix_nan_at_level_3(r, lens, cf):
+        v1, v2, sigma = lens_routes(r, lens, cf)
+        return (complex(math.nan) if r == 3 else v1), v2, sigma
+
+    monkeypatch.setattr(cli, "tau_lens_routes", matrix_nan_at_level_3)
+    code, out, _ = run_cli(capsys, ["lens", "5", "4", "--r", "3..5", "--format", "csv"])
+    assert code == 1
+    assert [row["diff"] for row in csv.DictReader(io.StringIO(out))][:2] == ["nan", "nan"]
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from seifert_rt import invariants
 from seifert_rt.invariants import (
     METHODS,
     NORMALIZATIONS,
@@ -41,7 +43,7 @@ from seifert_rt.seifert import (
     reverse_orientation,
     seifert_from_lens,
 )
-from seifert_rt.sl2z import dedekind_sum, sign
+from seifert_rt.sl2z import cf_expand, dedekind_sum, sign
 
 POINCARE = parse_seifert("o;g=0;b=-1;2/1,3/1,5/1")
 S3_PLUS = parse_seifert("o;g=0;b=1;")
@@ -315,6 +317,65 @@ def test_cs11_mpmath_reference(text, r):
     assert abs(res.value - cs11_mpmath(r, data)) <= res.tolerance_estimate
 
 
+# -------------------------------------------------- column kernels, large r
+
+
+# Relative gates against cs11_mpmath at r = 1000, one per route: ten times the
+# largest relative error measured on the three presentations below, rounded up
+# (generic 9.1e-12, section5 2.7e-11, compact 1.8e-13; the same to two digits
+# with the whole-matrix kernels).
+LARGE_R_GATES = {"generic": 1e-10, "section5": 3e-10, "compact": 2e-12}
+
+
+@pytest.mark.parametrize(
+    "text", ["o;g=0;b=-1;2/1,3/1,5/1", "o;g=1;b=2;7/3,11/4,13/5", "o;g=2;b=0;7/3,5/2"]
+)
+def test_column_routes_match_reference_at_large_r(text):
+    r = 1000
+    data = parse_seifert(text)
+    ref = cs11_mpmath(r, data)
+    datum = sl2_datum(r)
+    for res in (tau_generic(datum, data), tau_section5(datum, data), tau_compact(r, data)):
+        gate = LARGE_R_GATES[res.method] * max(1.0, abs(ref))
+        assert abs(res.value - ref) <= gate, (res.method, abs(res.value - ref) / max(1.0, abs(ref)))
+
+
+def test_column_routes_stay_linear_in_memory():
+    """Peak traced allocation of one evaluation, the level datum already
+    built: far below one (r - 1)^2 complex matrix, which the whole-matrix
+    kernels allocated several of (64 MB each at r = 2000)."""
+    data = parse_seifert("o;g=1;b=2;7/3,11/4,13/5")
+    cases = [
+        (2000, lambda: tau_compact(2000, data)),
+        (1500, lambda: tau_generic(sl2_datum(1500), data)),
+        (1500, lambda: tau_section5(sl2_datum(1500), data)),
+    ]
+    try:
+        for r, run in cases:
+            sl2_datum(r)
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            matrix = 16 * (r - 1) ** 2
+            assert peak < matrix / 16, (r, peak)
+    finally:
+        sl2_datum.cache_clear()  # the large levels are not worth keeping
+
+
+def test_generic_long_chain_stays_finite():
+    """2/2001 expands, as given, into a 1001-digit minus chain, so D^-1001
+    overflowed; the chain kernel scales each digit by 1/D instead."""
+    data = parse_seifert("nn:o;g=0;2/2001")
+    assert len(cf_expand(2, 2001, "minus")) == 1001
+    r = 5
+    want = 0.371748034460184
+    for res in (tau_generic(sl2_datum(r), data), tau_cs11(r, data), tau_compact(r, data)):
+        assert abs(res.value - want) <= res.tolerance_estimate, res.method
+
+
 # ------------------------------------------------------------ lens spaces
 
 
@@ -351,6 +412,12 @@ def test_lens_internal_routes_agree():
             for r in (3, 6):
                 v1, v2, _ = tau_lens_routes(r, LensSpace(p, q))
                 assert abs(v1 - v2) < 1e-10, (p, q, r)
+
+
+def test_lens_rejects_nan_route(monkeypatch):
+    monkeypatch.setattr(invariants, "tau_lens_routes", lambda r, lens, cf: (math.nan, 1.0, 0))
+    with pytest.raises(ArithmeticError):
+        tau_lens(5, LensSpace(5, 4))
 
 
 @pytest.mark.parametrize("p, q", [(5, 4), (7, 3), (12, 5)])

@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seifert_rt.modular import (
     DiagonalCase,
@@ -144,13 +146,16 @@ def test_mirror_datum():
 def test_g_matrix_base_cases():
     d = sl2_datum(5)
     assert np.allclose(g_matrix(d, ()), np.eye(4), atol=1e-14)
-    assert np.allclose(g_matrix(d, (0,)), d.S, atol=1e-14)
+    assert np.allclose(g_matrix(d, (0,)), d.S / d.D, atol=1e-14)
+    e0 = np.eye(1, 4, dtype=complex)[0]
+    assert np.array_equal(g_matrix(d, (), e0), e0)
+    assert np.allclose(g_matrix(d, (0,), e0), d.S[:, 0] / d.D, atol=1e-14)
 
 
 @pytest.mark.parametrize("r", [3, 5, 8])
 def test_g_matrix_matches_representation(r):
-    """diag(v)-and-S chain products equal the unit-phase representation
-    rescaled by w per digit-unit and D per S factor."""
+    """diag(v)-and-S/D chain products equal the unit-phase representation
+    rescaled by w per digit-unit."""
     rng = random.Random(r)
     d = sl2_datum(r)
     w = w_phase(r)
@@ -158,8 +163,45 @@ def test_g_matrix_matches_representation(r):
         word = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4)))
         G = g_matrix(d, word)
         R = r_rep_word(b_matrix(word), r)
-        scale = w ** sum(word) * d.D ** len(word)
+        scale = w ** sum(word)
         assert np.max(np.abs(G - scale * R)) < 1e-11, word
+
+
+@given(
+    word=st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+    r=st.integers(2, 40),
+    label=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_g_matrix_column_matches_full_chain(word, r, label):
+    """The chain applied to a unit vector is that column of the matrix."""
+    d = sl2_datum(r)
+    k = label.draw(st.integers(0, r - 2))
+    ek = np.eye(1, r - 1, k, dtype=complex)[0]
+    full = g_matrix(d, word)
+    assert np.max(np.abs(g_matrix(d, word, ek) - full[:, k])) <= 1e-13
+    assert np.max(np.abs(g_matrix(d, word, full) - g_matrix(d, word + word))) <= 1e-13
+
+
+@st.composite
+def sl2z_lower_nonzero(draw):
+    """Any SL(2, Z) element with c != 0 and entries up to 60 or so."""
+    c = draw(st.integers(-60, 60).filter(bool))
+    a = draw(st.integers(-60, 60).filter(lambda x: math.gcd(x, c) == 1))
+    # a d - b c = 1: d is an inverse of a mod |c| (any d when |c| = 1)
+    d = pow(a, -1, abs(c)) + abs(c) * draw(st.integers(-2, 2))
+    return SL2Z(a, (a * d - 1) // c, c, d)
+
+
+@given(mat=sl2z_lower_nonzero(), r=st.integers(2, 40), cols=st.data())
+@settings(max_examples=150, deadline=None)
+def test_gauss_columns_match_full_matrix(mat, r, cols):
+    """Summing only some columns gives those columns of the full matrix."""
+    picked = cols.draw(st.lists(st.integers(0, r - 2), min_size=1, max_size=3))
+    full = r_rep_gauss(mat, r)
+    part = r_rep_gauss(mat, r, picked)
+    assert part.shape == (r - 1, len(picked))
+    assert np.max(np.abs(part - full[:, picked])) <= 1e-13
 
 
 # --------------------------------------------------------- representation
