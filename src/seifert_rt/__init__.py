@@ -11,6 +11,7 @@ from .invariants import (
     ComplexityCap,
     InvariantResult,
     MissingBetti,
+    UnsupportedDatum,
     convert_normalization,
     tau_cs11,
     tau_compact,
@@ -30,7 +31,6 @@ from .modular import (
     datum_from_dict,
     datum_to_dict,
     g_matrix,
-    kappa,
     load_datum,
     mirror_datum,
     r_rep_gauss,

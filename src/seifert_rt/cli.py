@@ -8,9 +8,9 @@ Subcommands:
   axioms    datum, representation, and number-theory consistency report
 
 The methods are the routes of invariants.ROUTES.  The default, auto,
-runs every route that applies to the base and the datum and skips one
-that exceeds a complexity cap; a method named with --method that exceeds
-a cap exits with code 3.  lens_direct is reached only through lens.
+tries each route and skips one that refuses its base, its datum or its
+cost; a method named with --method that refuses exits with code 2, or 3
+for a complexity cap.  lens_direct is reached only through lens.
 Every subcommand prints through emit_records.
 
 Each setting is checked once: by argparse (choices, or the type= of
@@ -36,9 +36,9 @@ import sys
 
 import numpy as np
 
-from .invariants import CHAIN_CAP, ROUTES, ComplexityCap, InvariantResult, tau_lens_routes
+from .invariants import CHAIN_CAP, ROUTES, ComplexityCap, InvariantResult, UnsupportedDatum, tau_lens_routes
 from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
-from .seifert import LensSpace, SeifertData, parse_seifert
+from .seifert import LensSpace, SeifertData, UnsupportedBase, parse_seifert
 from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
 
 
@@ -100,10 +100,7 @@ def evaluate(
     route = ROUTES.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
-    if route.sl2_only and datum is not None:
-        raise ValueError(f"method {method!r} needs the built-in sl2 datum")
-    dm = datum if datum is not None else sl2_datum(r)
-    return route.run(dm, data, args.cf_style, args.cap)
+    return route(r, datum, data, args.cf_style, args.cap)
 
 
 def run_routes(
@@ -111,21 +108,17 @@ def run_routes(
 ) -> list[InvariantResult]:
     """The requested methods at level r, in order.
 
-    "auto" runs every route of ROUTES that applies to the base and datum
-    and skips one that exceeds a complexity cap; a method named
-    explicitly lets ComplexityCap propagate.
+    "auto" tries every route of ROUTES and skips one that refuses its
+    base, its datum or its cost; a method named explicitly lets the
+    refusal propagate.
     """
     if methods != ("auto",):
         return [evaluate(m, data, r, args, datum) for m in methods]
     results = []
-    for name, route in ROUTES.items():
-        if (route.sl2_only and datum is not None) or (
-            route.orientable_only and data.base != "o"
-        ):
-            continue
+    for name in ROUTES:
         try:
             results.append(evaluate(name, data, r, args, datum))
-        except ComplexityCap:
+        except (ComplexityCap, UnsupportedBase, UnsupportedDatum):
             continue
     return results
 

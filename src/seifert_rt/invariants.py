@@ -13,10 +13,12 @@ deliberately separate so they cross-check each other:
   tau_section5   chain decomposition with explicit framing bookkeeping
                  (orientable base)
 
-ROUTES names the five, in this order, with an adapter and where each
-applies.  There is also a lens space evaluator with two internal routes,
-Verlinde dimensions, and conversion between the common output
-normalizations.
+ROUTES names the five, in this order, each with an adapter that takes
+the level r and a loaded datum or None.  generic, graph_sum and section5
+read a datum, the built-in sl2 one unless a datum is loaded; cs11 and
+compact depend on r alone and refuse a loaded datum.  There is also a
+lens space evaluator with two internal routes, Verlinde dimensions, and
+conversion between the common output normalizations.
 
 Conventions: tau_r(S^3) = D^{-1}, tau_r(S^1 x S^2) = 1, labels are
 0-based array indices with the unit label at 0 (sl2 label j sits at
@@ -72,6 +74,10 @@ class ComplexityCap(RuntimeError):
     """Requested evaluation exceeds the configured complexity caps."""
 
 
+class UnsupportedDatum(ValueError):
+    """The route is a closed form for the built-in sl2 datum only."""
+
+
 class MissingBetti(ValueError):
     """Target normalization needs the first Betti number."""
 
@@ -82,8 +88,10 @@ class InvariantResult:
 
     sigma_used is the integer framing exponent the route consumed (None
     for routes that never form one), cf_style the continued fraction
-    style (None for CF-free routes), tolerance_estimate a conservative
-    bound on the numerical error of value.
+    style (None for CF-free routes), tolerance_estimate an estimate of
+    the numerical error of value.  It is not yet a bound: where tau
+    cancels or |tau| is large the error can exceed it (ROADMAP.md,
+    item 1).
     """
 
     value: complex
@@ -246,6 +254,10 @@ def tau_compact(r: int, data: SeifertData) -> InvariantResult:
     phis = 0
     cols = np.ones(r - 1, dtype=complex)
     for alpha, beta in pairs:
+        # the value has period 4 r alpha in beta at fixed sign(e), which is read
+        # from the data as given: the centered residue makes it exactly
+        # periodic and keeps phis, the exponent of w, small
+        beta = (beta + 2 * r * alpha) % (4 * r * alpha) - 2 * r * alpha
         _, xg, yg = ext_gcd(alpha, beta)
         # alpha sig0 - beta rho0 = 1
         sig0, rho0 = xg, -yg
@@ -403,31 +415,30 @@ def tau_section5(
     )
 
 
-@dataclass(frozen=True)
-class Route:
-    """One route as the command line runs it.
-
-    run(datum, data, cf_style, cap) adapts the route's tau_* function to
-    one signature, with cap the total chain length cap of graph_sum.
-    sl2_only routes need the built-in sl2 datum; orientable_only routes
-    need an orientable base.
-    """
-
-    run: Callable[[ModularDatum, SeifertData, str, int], InvariantResult]
-    sl2_only: bool = False
-    orientable_only: bool = False
+def _datum(r: int, datum: ModularDatum | None) -> ModularDatum:
+    """The loaded datum, or the built-in sl2 datum at level r."""
+    return sl2_datum(r) if datum is None else datum
 
 
-# Adapters only: the routes must not share numeric code through this table,
-# since their agreement is the cross-check.  The order is the output order.
-ROUTES = {
-    "generic": Route(lambda dm, data, cf, cap: tau_generic(dm, data, cf)),
-    "cs11": Route(lambda dm, data, cf, cap: tau_cs11(dm.n_labels + 1, data), sl2_only=True),
-    "compact": Route(lambda dm, data, cf, cap: tau_compact(dm.n_labels + 1, data), sl2_only=True),
-    "graph_sum": Route(
-        lambda dm, data, cf, cap: tau_graph_sum(dm, data, cf, chain_cap=cap), orientable_only=True
-    ),
-    "section5": Route(lambda dm, data, cf, cap: tau_section5(dm, data, cf), orientable_only=True),
+def _level(name: str, r: int, datum: ModularDatum | None) -> int:
+    """r for an sl2 closed form, which depends on the level alone."""
+    if datum is not None:
+        raise UnsupportedDatum(f"method {name!r} needs the built-in sl2 datum")
+    return r
+
+
+# Each adapter is run(r, datum, data, cf_style, cap), with datum the loaded
+# datum or None for the built-in one and cap the total chain length cap of
+# graph_sum.  A route refuses what it cannot run by raising ComplexityCap,
+# UnsupportedBase or UnsupportedDatum.  Adapters only: the routes must not
+# share numeric code through this table, since their agreement is the
+# cross-check.  The order is the output order.
+ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData, str, int], InvariantResult]] = {
+    "generic": lambda r, dm, data, cf, cap: tau_generic(_datum(r, dm), data, cf),
+    "cs11": lambda r, dm, data, cf, cap: tau_cs11(_level("cs11", r, dm), data),
+    "compact": lambda r, dm, data, cf, cap: tau_compact(_level("compact", r, dm), data),
+    "graph_sum": lambda r, dm, data, cf, cap: tau_graph_sum(_datum(r, dm), data, cf, chain_cap=cap),
+    "section5": lambda r, dm, data, cf, cap: tau_section5(_datum(r, dm), data, cf),
 }
 
 METHODS = (*ROUTES, "lens_direct")

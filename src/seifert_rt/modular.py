@@ -169,17 +169,6 @@ def g_matrix(
     return G
 
 
-def kappa(datum: ModularDatum, label: int) -> complex:
-    """Cross-cap coefficient eps D^2 v^2 / dim for a self-dual label, else 0."""
-    if datum.dual[label] != label:
-        return 0j
-    e = datum.eps[label]
-    if e is None:
-        raise MissingEpsilon(f"label {label} has no cross-cap sign")
-    v = complex(datum.v[label])
-    return e * datum.D**2 * v * v / datum.dims[label]
-
-
 def w_phase(r: int) -> complex:
     """Unit w = exp(i pi / 4) exp(-i pi / 2r); w^{-3} = delta / D for sl2."""
     return cmath.exp(1j * math.pi * (r - 2) / (4 * r))

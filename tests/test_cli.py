@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 import seifert_rt
-from seifert_rt import cli
+from seifert_rt import cli, invariants
 from seifert_rt.cli import f15, main, parse_r_spec, random_seifert
 from seifert_rt.invariants import ROUTES
 from seifert_rt.modular import save_datum, sl2_datum
@@ -264,11 +264,11 @@ def test_verify_impossible_tolerance_fails(capsys):
 def nan_at_level_3(route):
     """route, except that its value at r = 3 is nan."""
 
-    def run(dm, data, cf, cap):
-        res = route.run(dm, data, cf, cap)
+    def run(r, dm, data, cf, cap):
+        res = route(r, dm, data, cf, cap)
         return replace(res, value=complex(math.nan)) if res.r == 3 else res
 
-    return replace(route, run=run)
+    return run
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -413,6 +413,31 @@ def test_datum_file_forbids_number_theory_routes(capsys, tmp_path):
     )
     assert code == 2
     assert "datum" in err
+
+
+@pytest.mark.parametrize(
+    "text, methods",
+    [("o;g=0;b=1;", ["generic", "graph_sum", "section5"]), ("n;g=1;b=1;2/1", ["generic"])],
+)
+def test_auto_with_datum_file_skips_refusing_routes(capsys, tmp_path, text, methods):
+    path = tmp_path / "d5.json"
+    save_datum(sl2_datum(5), str(path))
+    code, out, _ = run_cli(capsys, ["compute", text, "--datum", str(path), "--format", "json"])
+    assert code == 0
+    assert [rec["method"] for rec in json.loads(out)] == methods
+
+
+def test_level_only_routes_build_no_datum(capsys, monkeypatch):
+    def refuse(r):
+        raise AssertionError(f"sl2_datum({r}) built")
+
+    monkeypatch.setattr(cli, "sl2_datum", refuse)
+    monkeypatch.setattr(invariants, "sl2_datum", refuse)
+    code, out, _ = run_cli(
+        capsys, ["compute", POINCARE, "--r", "3..6", "--method", "cs11,compact", "--format", "json"]
+    )
+    assert code == 0
+    assert len(json.loads(out)) == 8
 
 
 # ----------------------------------------------------------- output shape

@@ -267,6 +267,16 @@ def test_cs11_and_compact_are_periodic_at_level_r(data, r, extra):
         assert gap <= ours.tolerance_estimate + theirs.tolerance_estimate, route.__name__
 
 
+@pytest.mark.parametrize("k", [1, 3, 2**40 + 1])
+def test_compact_is_exactly_periodic_in_beta(k):
+    # beta -> beta + 4 r alpha K keeps sign(e), and the value must be identical:
+    # at |tau| = 1.1e6 a rounding difference alone exceeds the absolute tolerances
+    r = 25
+    ours = tau_compact(r, parse_seifert("nn:o;g=2;2/1,2/1,2/1"))
+    theirs = tau_compact(r, parse_seifert(f"nn:o;g=2;2/{1 + 200 * k},2/1,2/1"))
+    assert theirs.value == ours.value
+
+
 @pytest.mark.parametrize(
     "text",
     [

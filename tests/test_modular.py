@@ -15,13 +15,11 @@ from hypothesis import strategies as st
 from seifert_rt.modular import (
     DiagonalCase,
     InvalidLevel,
-    MissingEpsilon,
     ModularDatum,
     check_axioms,
     datum_from_dict,
     datum_to_dict,
     g_matrix,
-    kappa,
     load_datum,
     mirror_datum,
     r_rep_gauss,
@@ -274,43 +272,6 @@ def test_representation_is_homomorphism():
         lhs = r_rep_word(b_matrix(w1) * b_matrix(w2), r)
         rhs = r_rep_word(b_matrix(w1), r) @ r_rep_word(b_matrix(w2), r)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
-
-
-# -------------------------------------------------------------- cross-cap
-
-
-def test_kappa_unit_label():
-    d = sl2_datum(6)
-    assert abs(kappa(d, 0) - d.D**2) < 1e-12
-
-
-def test_kappa_frozen_r4():
-    d = sl2_datum(4)
-    expected = -d.D**2 * complex(d.v[1]) ** 2 / d.dims[1]
-    assert abs(kappa(d, 1) - expected) < 1e-12
-    assert abs(d.D - 2.0) < 1e-14
-    assert abs(kappa(d, 1) - (-2 * math.sqrt(2)) * cmath.exp(3j * math.pi / 4)) < 1e-12
-
-
-def test_kappa_non_self_dual_label_vanishes():
-    d = toy_datum()
-    assert kappa(d, 1) == 0j
-    assert kappa(d, 2) == 0j
-
-
-def test_kappa_missing_epsilon():
-    d = ModularDatum(
-        n_labels=1,
-        S=np.ones((1, 1), dtype=complex),
-        v=np.ones(1, dtype=complex),
-        dims=np.ones(1),
-        D=1.0,
-        delta=1.0 + 0j,
-        dual=(0,),
-        eps=(None,),
-    )
-    with pytest.raises(MissingEpsilon):
-        kappa(d, 0)
 
 
 # ----------------------------------------------------------- persistence
