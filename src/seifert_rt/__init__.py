@@ -62,7 +62,6 @@ from .seifert import (
 )
 from .sl2z import (
     IDENTITY,
-    THETA,
     XI,
     ConvergentTable,
     InvalidFraction,

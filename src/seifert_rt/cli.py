@@ -10,17 +10,18 @@ Subcommands:
 The methods are the routes of invariants.ROUTES.  The default, auto,
 tries each route and skips one that refuses its base, its datum or its
 cost; a method named with --method that refuses exits with code 2, or 3
-for a complexity cap.  lens_direct is reached only through lens.
+for a complexity cap.  graph_sum's caps are fixed in tau_graph_sum.
+lens_direct is reached only through lens.
 Every subcommand prints through emit_records.
 
 Each setting is checked once: by argparse (choices, or the type= of
---tolerance and --cap) or by the function that consumes it (parse_r_spec
-for --r, evaluate for --method).  A subcommand takes only the flags it
-reads; --cap defaults to invariants.CHAIN_CAP.
+--tolerance) or by the function that consumes it (parse_r_spec for --r,
+evaluate for --method).  A subcommand takes only the flags it reads.
 
 Exit codes, mapped from errors in main alone: 0 success, 1 verification
 failure (a value that is not finite fails verify and lens), 2 malformed
-input or configuration, 3 complexity cap exceeded.
+input or configuration, 3 a request too large (a complexity cap, or a
+value beyond floating-point range).
 Output is byte-identical for identical inputs, options, and seed.
 """
 
@@ -36,7 +37,7 @@ import sys
 
 import numpy as np
 
-from .invariants import CHAIN_CAP, ROUTES, ComplexityCap, InvariantResult, UnsupportedDatum, tau_lens_routes
+from .invariants import ROUTES, ComplexityCap, InvariantResult, UnsupportedDatum, tau_lens_routes
 from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
 from .seifert import LensSpace, SeifertData, UnsupportedBase, parse_seifert
 from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
@@ -94,17 +95,17 @@ def random_seifert(rng: random.Random) -> SeifertData:
 
 
 def evaluate(
-    method: str, data: SeifertData, r: int, args, datum: ModularDatum | None = None
+    method: str, data: SeifertData, r: int, cf_style: str, datum: ModularDatum | None = None
 ) -> InvariantResult:
-    """One route at level r, with the --cf-style and --cap of args."""
+    """One route at level r."""
     route = ROUTES.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
-    return route(r, datum, data, args.cf_style, args.cap)
+    return route(r, datum, data, cf_style)
 
 
 def run_routes(
-    data: SeifertData, r: int, methods: tuple[str, ...], args, datum: ModularDatum | None = None
+    data: SeifertData, r: int, methods: tuple[str, ...], cf_style: str, datum: ModularDatum | None = None
 ) -> list[InvariantResult]:
     """The requested methods at level r, in order.
 
@@ -113,11 +114,11 @@ def run_routes(
     refusal propagate.
     """
     if methods != ("auto",):
-        return [evaluate(m, data, r, args, datum) for m in methods]
+        return [evaluate(m, data, r, cf_style, datum) for m in methods]
     results = []
     for name in ROUTES:
         try:
-            results.append(evaluate(name, data, r, args, datum))
+            results.append(evaluate(name, data, r, cf_style, datum))
         except (ComplexityCap, UnsupportedBase, UnsupportedDatum):
             continue
     return results
@@ -216,7 +217,7 @@ def cmd_compute(args) -> int:
     if datum is not None:
         r_values = (datum.n_labels + 1,)  # the datum fixes r; --r is still checked
     methods = _method_list(args)
-    results = [res for r in r_values for res in run_routes(data, r, methods, args, datum)]
+    results = [res for r in r_values for res in run_routes(data, r, methods, args.cf_style, datum)]
     emit_records([result_record(res) for res in results], args.format, args.columns)
     return 0
 
@@ -238,7 +239,7 @@ def cmd_verify(args) -> int:
     diffs = []
     for data in inputs:
         for r in r_values:
-            values = [res.value for res in run_routes(data, r, ("auto",), args)]
+            values = [res.value for res in run_routes(data, r, ("auto",), args.cf_style)]
             diff = _max_gap(values)
             diffs.append(diff)
             rows.append(
@@ -349,13 +350,7 @@ def _positive_float(text: str) -> float:
     return float(text)
 
 
-def _non_negative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return int(text)
-
-
-def _add_common(sp, cf_style=False, tolerance=False, cap=False, datum=False) -> None:
+def _add_common(sp, cf_style=False, tolerance=False, datum=False) -> None:
     """--r and --format, plus the flags the subcommand reads."""
     sp.add_argument("--r", default="3..10", help="level r or inclusive range a..b")
     if cf_style:
@@ -370,13 +365,6 @@ def _add_common(sp, cf_style=False, tolerance=False, cap=False, datum=False) -> 
     )
     if tolerance:
         sp.add_argument("--tolerance", type=_positive_float, default=1e-9, help="agreement gate")
-    if cap:
-        sp.add_argument(
-            "--cap",
-            type=_non_negative_int,
-            default=CHAIN_CAP,
-            help="total chain length cap for the graph state sum (default: %(default)s)",
-        )
     if datum:
         sp.add_argument("--datum", default=None, help="JSON modular datum file")
 
@@ -399,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             help=f"comma-separated methods ({','.join(ROUTES)}) or 'auto' (default)",
         )
-        _add_common(sp, cf_style=True, cap=True, datum=True)
+        _add_common(sp, cf_style=True, datum=True)
         sp.set_defaults(func=cmd_compute, columns=columns)
 
     sp = sub.add_parser("verify", help="cross-check methods against each other")
     sp.add_argument("seifert", nargs="?", default=None, help="presentation string")
     sp.add_argument("--random", type=int, default=None, metavar="N", help="verify N random presentations")
     sp.add_argument("--seed", type=int, default=0, help="seed for --random")
-    _add_common(sp, cf_style=True, tolerance=True, cap=True)
+    _add_common(sp, cf_style=True, tolerance=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("lens", help="both lens space routes")
@@ -427,7 +415,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ComplexityCap as exc:
+    except (ComplexityCap, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -66,10 +66,6 @@ from .sl2z import (
     signature_exact,
 )
 
-# default total chain length cap of tau_graph_sum, and of the --cap flag
-CHAIN_CAP = 8
-
-
 class ComplexityCap(RuntimeError):
     """Requested evaluation exceeds the configured complexity caps."""
 
@@ -286,7 +282,7 @@ def tau_graph_sum(
     datum: ModularDatum,
     data: SeifertData,
     cf_style: str = "minus",
-    chain_cap: int = CHAIN_CAP,
+    chain_cap: int = 8,
     r_cap: int = 10,
     max_terms: int = 500_000,
 ) -> InvariantResult:
@@ -427,18 +423,18 @@ def _level(name: str, r: int, datum: ModularDatum | None) -> int:
     return r
 
 
-# Each adapter is run(r, datum, data, cf_style, cap), with datum the loaded
-# datum or None for the built-in one and cap the total chain length cap of
-# graph_sum.  A route refuses what it cannot run by raising ComplexityCap,
-# UnsupportedBase or UnsupportedDatum.  Adapters only: the routes must not
-# share numeric code through this table, since their agreement is the
-# cross-check.  The order is the output order.
-ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData, str, int], InvariantResult]] = {
-    "generic": lambda r, dm, data, cf, cap: tau_generic(_datum(r, dm), data, cf),
-    "cs11": lambda r, dm, data, cf, cap: tau_cs11(_level("cs11", r, dm), data),
-    "compact": lambda r, dm, data, cf, cap: tau_compact(_level("compact", r, dm), data),
-    "graph_sum": lambda r, dm, data, cf, cap: tau_graph_sum(_datum(r, dm), data, cf, chain_cap=cap),
-    "section5": lambda r, dm, data, cf, cap: tau_section5(_datum(r, dm), data, cf),
+# Each adapter is run(r, datum, data, cf_style), with datum the loaded datum
+# or None for the built-in one.  A route refuses what it cannot run by raising
+# ComplexityCap, UnsupportedBase or UnsupportedDatum; graph_sum's caps are the
+# defaults of tau_graph_sum.  Adapters only: the routes must not share numeric
+# code through this table, since their agreement is the cross-check.  The
+# order is the output order.
+ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData, str], InvariantResult]] = {
+    "generic": lambda r, dm, data, cf: tau_generic(_datum(r, dm), data, cf),
+    "cs11": lambda r, dm, data, cf: tau_cs11(_level("cs11", r, dm), data),
+    "compact": lambda r, dm, data, cf: tau_compact(_level("compact", r, dm), data),
+    "graph_sum": lambda r, dm, data, cf: tau_graph_sum(_datum(r, dm), data, cf),
+    "section5": lambda r, dm, data, cf: tau_section5(_datum(r, dm), data, cf),
 }
 
 METHODS = (*ROUTES, "lens_direct")

@@ -10,7 +10,8 @@ oriented 3-manifolds and are interchangeable via normalize().
 
 The module also provides the rational Euler number, equivalence of
 presentations, orientation reversal, lens space conversions, the first
-Betti number, and a text/JSON wire format used by the command line.
+Betti number, and a text and a JSON wire format; the command line reads
+the text form only.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ class SL2Z:
 
 IDENTITY = SL2Z(1, 0, 0, 1)
 XI = SL2Z(0, -1, 1, 0)
-THETA = SL2Z(1, 1, 0, 1)
 
 
 def theta_power(k: int) -> SL2Z:

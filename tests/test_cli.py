@@ -3,8 +3,10 @@ main(argv) plus one real subprocess smoke test."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -72,12 +75,11 @@ def test_random_seifert_is_seed_stable():
         ["compute", POINCARE, "--format", "yaml"],
         ["compute", POINCARE, "--cf-style", "x"],
         ["verify", POINCARE, "--tolerance", "0"],
-        ["verify", POINCARE, "--cap", "-1"],
         ["compute", POINCARE, "--r", "3", "--method", "warp"],
         ["compute", POINCARE, "--r", "3", "--tolerance", "1e-3"],
         ["table", POINCARE, "--r", "3", "--tolerance", "1e-3"],
     ],
-    ids=["r1", "r-empty", "format", "cf-style", "tolerance", "cap", "method", "compute-tol", "table-tol"],
+    ids=["r1", "r-empty", "format", "cf-style", "tolerance", "method", "compute-tol", "table-tol"],
 )
 def test_bad_setting_exits_2(capsys, argv):
     # argparse exits from inside main; the other checks return the code
@@ -154,17 +156,37 @@ def test_explicit_graph_sum_beyond_cap_exits_3(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "o;g=70;b=0;", "--r", "100"],
+        ["compute", "o;g=400;b=0;", "--r", "5"],
+        ["verify", "o;g=400;b=0;", "--r", "5"],
+    ],
+)
+def test_value_beyond_float_range_exits_3(capsys, argv):
+    # D^(2g-2) overflows a float in generic; a request too large exits 3
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_complexity_cap_flag(capsys):
-    code, _, err = run_cli(
-        capsys, ["compute", POINCARE, "--r", "5", "--method", "graph_sum", "--cap", "2"]
+    # graph_sum's built-in chain length cap is 8: 10/9 expands to 9 digits, 9/8 to 8
+    code, out, err = run_cli(
+        capsys, ["compute", "o;g=0;b=0;10/9", "--r", "3", "--method", "graph_sum"]
     )
     assert code == 3
-    assert "cap" in err
-    code, _, _ = run_cli(
-        capsys,
-        ["compute", POINCARE, "--r", "5", "--method", "graph_sum", "--cap", "8"],
-    )
+    assert out == ""
+    assert "chain length 9 exceeds cap 8" in err
+    code, out, _ = run_cli(capsys, ["compute", "o;g=0;b=0;9/8", "--r", "3", "--format", "json"])
     assert code == 0
+    rows = json.loads(out)
+    assert [row["method"] for row in rows] == list(ROUTES)
+    values = [complex(row["re"], row["im"]) for row in rows]
+    assert max(abs(a - b) for a in values for b in values) < 5e-15
 
 
 def test_auto_graph_sum_within_caps(capsys):
@@ -179,7 +201,7 @@ def test_auto_graph_sum_within_caps(capsys):
     assert "graph_sum" in auto_route_names(POINCARE, "--r", "5")
     assert "graph_sum" not in auto_route_names(POINCARE, "--r", "12")
     assert "graph_sum" not in auto_route_names("n;g=1;b=0;", "--r", "5")
-    assert "graph_sum" not in auto_route_names(POINCARE, "--r", "5", "--cap", "2")
+    assert "graph_sum" not in auto_route_names("o;g=0;b=0;10/9", "--r", "3")
 
 
 def test_auto_mixed_with_methods_is_unknown(capsys):
@@ -264,8 +286,8 @@ def test_verify_impossible_tolerance_fails(capsys):
 def nan_at_level_3(route):
     """route, except that its value at r = 3 is nan."""
 
-    def run(r, dm, data, cf, cap):
-        res = route(r, dm, data, cf, cap)
+    def run(r, dm, data, cf):
+        res = route(r, dm, data, cf)
         return replace(res, value=complex(math.nan)) if res.r == 3 else res
 
     return run
@@ -348,6 +370,9 @@ def test_lens_fails_on_nan(capsys, monkeypatch):
         ["lens", "5", "4", "--cap", "3"],
         ["axioms", "--cap", "3"],
         ["axioms", "--cf-style", "minus"],
+        ["compute", POINCARE, "--cap", "3"],
+        ["table", POINCARE, "--cap", "3"],
+        ["verify", POINCARE, "--cap", "3"],
     ],
 )
 def test_unread_flags_are_rejected(capsys, argv):
@@ -355,6 +380,25 @@ def test_unread_flags_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_parser():
+    # each row of the README table: flags | meaning | subcommands ("all": every one)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = readme.split("Flags, and the subcommands that take them:", 1)[1].strip().splitlines()
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sp in subparsers.choices.items()
+    }
+    documented = {name: set() for name in parsed}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), lines):
+        flag_cell, _, taken_cell = re.split(r"(?<!\\)\|", line)[1:-1]
+        flags = re.findall(r"`(--[\w-]+)", flag_cell)
+        takers = list(parsed) if taken_cell.strip() == "all" else re.findall(r"`(\w+)`", taken_cell)
+        for name in takers:
+            documented.setdefault(name, set()).update(flags)
+    assert documented == parsed
 
 
 def test_lens_rejects_non_coprime(capsys):
