@@ -6,7 +6,6 @@ r - 2 invariant that cross-validate each other.
 """
 
 from .invariants import (
-    METHODS,
     NORMALIZATIONS,
     ComplexityCap,
     InvariantResult,
@@ -17,7 +16,6 @@ from .invariants import (
     tau_compact,
     tau_generic,
     tau_graph_sum,
-    tau_lens,
     tau_lens_routes,
     tau_section5,
     verlinde_dim,
@@ -54,11 +52,7 @@ from .seifert import (
     parse_seifert,
     render_seifert,
     reverse_orientation,
-    seifert_from_dict,
-    seifert_from_json,
     seifert_from_lens,
-    seifert_to_dict,
-    seifert_to_json,
 )
 from .sl2z import (
     IDENTITY,

@@ -21,7 +21,8 @@ evaluate for --method).  A subcommand takes only the flags it reads.
 Exit codes, mapped from errors in main alone: 0 success, 1 verification
 failure (a value that is not finite fails verify and lens), 2 malformed
 input or configuration, 3 a request too large (a complexity cap, or a
-value beyond floating-point range).
+value beyond floating-point range: a route that overflows, named with
+its level, or a value of compute or table that is not finite).
 Output is byte-identical for identical inputs, options, and seed.
 """
 
@@ -40,7 +41,7 @@ import numpy as np
 from .invariants import ROUTES, ComplexityCap, InvariantResult, UnsupportedDatum, tau_lens_routes
 from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
 from .seifert import LensSpace, SeifertData, UnsupportedBase, parse_seifert
-from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
+from .sl2z import CF_STYLES, b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
 
 
 def parse_r_spec(text: str) -> tuple[int, ...]:
@@ -97,11 +98,14 @@ def random_seifert(rng: random.Random) -> SeifertData:
 def evaluate(
     method: str, data: SeifertData, r: int, cf_style: str, datum: ModularDatum | None = None
 ) -> InvariantResult:
-    """One route at level r."""
+    """One route at level r; an overflow names the route and the level."""
     route = ROUTES.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
-    return route(r, datum, data, cf_style)
+    try:
+        return route(r, datum, data, cf_style)
+    except OverflowError as exc:
+        raise OverflowError(f"{method} at r = {r}: {exc}") from None
 
 
 def run_routes(
@@ -218,6 +222,9 @@ def cmd_compute(args) -> int:
         r_values = (datum.n_labels + 1,)  # the datum fixes r; --r is still checked
     methods = _method_list(args)
     results = [res for r in r_values for res in run_routes(data, r, methods, args.cf_style, datum)]
+    for res in results:
+        if not cmath.isfinite(res.value):
+            raise OverflowError(f"{res.method} at r = {res.r}: value beyond floating-point range")
     emit_records([result_record(res) for res in results], args.format, args.columns)
     return 0
 
@@ -356,7 +363,7 @@ def _add_common(sp, cf_style=False, tolerance=False, datum=False) -> None:
     if cf_style:
         sp.add_argument(
             "--cf-style",
-            choices=("minus", "euclidean"),
+            choices=CF_STYLES,
             default="minus",
             help="continued fraction style",
         )

@@ -16,9 +16,10 @@ deliberately separate so they cross-check each other:
 ROUTES names the five, in this order, each with an adapter that takes
 the level r and a loaded datum or None.  generic, graph_sum and section5
 read a datum, the built-in sl2 one unless a datum is loaded; cs11 and
-compact depend on r alone and refuse a loaded datum.  There is also a
-lens space evaluator with two internal routes, Verlinde dimensions, and
-conversion between the common output normalizations.
+compact depend on r alone and refuse a loaded datum.  InvariantResult
+accepts these names only.  tau_lens_routes evaluates a lens space along
+two internal routes; there are also Verlinde dimensions and conversion
+between the common output normalizations.
 
 Conventions: tau_r(S^3) = D^{-1}, tau_r(S^1 x S^2) = 1, labels are
 0-based array indices with the unit label at 0 (sl2 label j sits at
@@ -83,8 +84,7 @@ class InvariantResult:
     """One evaluated invariant value with its provenance.
 
     sigma_used is the integer framing exponent the route consumed (None
-    for routes that never form one), cf_style the continued fraction
-    style (None for CF-free routes), tolerance_estimate an estimate of
+    for routes that never form one), tolerance_estimate an estimate of
     the numerical error of value.  It is not yet a bound: where tau
     cancels or |tau| is large the error can exceed it (ROADMAP.md,
     item 1).
@@ -94,12 +94,11 @@ class InvariantResult:
     r: int
     method: str
     sigma_used: int | None
-    cf_style: str | None
     tolerance_estimate: float
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method not in ROUTES:
+            raise ValueError(f"method must be one of {tuple(ROUTES)}, got {self.method!r}")
         if self.r < 2:
             raise ValueError(f"need r >= 2, got {self.r}")
         if not self.tolerance_estimate > 0:
@@ -168,9 +167,7 @@ def tau_generic(
         * np.sum(lab * col)
     )
     r = datum.n_labels + 1
-    return InvariantResult(
-        complex(val), r, "generic", sigma, cf_style, _tol(r, mtot + n)
-    )
+    return InvariantResult(complex(val), r, "generic", sigma, _tol(r, mtot + n))
 
 
 def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
@@ -227,7 +224,7 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     Z = np.sum(sgn_g * ph_e * sins * W)
     val = pref * Z
     # error model: the term count prod 2 alpha_j = 2^n A of the unfactored sum
-    return InvariantResult(complex(val), r, "cs11", None, None, _tol(r, 2**n * A))
+    return InvariantResult(complex(val), r, "cs11", None, _tol(r, 2**n * A))
 
 
 def tau_compact(r: int, data: SeifertData) -> InvariantResult:
@@ -273,9 +270,7 @@ def tau_compact(r: int, data: SeifertData) -> InvariantResult:
         * cmath.exp(1j * math.pi * ((b + 2 * r) % (4 * r) - 2 * r) / (2 * r))
     )
     val = pref * np.sum(summand)
-    return InvariantResult(
-        complex(val), r, "compact", None, None, _tol(r, n * r)
-    )
+    return InvariantResult(complex(val), r, "compact", None, _tol(r, n * r))
 
 
 def tau_graph_sum(
@@ -342,7 +337,7 @@ def tau_graph_sum(
         term *= mat[idx[p], idx[q]]
     val = mir.delta**sig * datum.D**bexp * np.sum(term)
     return InvariantResult(
-        complex(val), r, "graph_sum", sig, cf_style, _tol(r, mtot + count // max(nl, 1))
+        complex(val), r, "graph_sum", sig, _tol(r, mtot + count // max(nl, 1))
     )
 
 
@@ -371,7 +366,7 @@ def tau_section5(
 
     if b == 0 and n == 0:
         val = datum.D ** (2 * g - 2) * np.sum(datum.dims ** (2 - 2 * g))
-        return InvariantResult(complex(val), r, "section5", 0, cf_style, _tol(r, 1))
+        return InvariantResult(complex(val), r, "section5", 0, _tol(r, 1))
 
     def defect(table: ConvergentTable) -> int:
         num = sum(table.entries) - rademacher_phi(table.final)
@@ -406,9 +401,7 @@ def tau_section5(
         * datum.D ** (2 * g - 2)
         * np.sum(datum.dims ** (2 - 2 * g - n_comp) * prod)
     )
-    return InvariantResult(
-        complex(val), r, "section5", expo, cf_style, _tol(r, mtot + n_comp)
-    )
+    return InvariantResult(complex(val), r, "section5", expo, _tol(r, mtot + n_comp))
 
 
 def _datum(r: int, datum: ModularDatum | None) -> ModularDatum:
@@ -436,8 +429,6 @@ ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData, str], Invaria
     "graph_sum": lambda r, dm, data, cf: tau_graph_sum(_datum(r, dm), data, cf),
     "section5": lambda r, dm, data, cf: tau_section5(_datum(r, dm), data, cf),
 }
-
-METHODS = (*ROUTES, "lens_direct")
 
 
 def tau_lens_routes(
@@ -468,20 +459,6 @@ def tau_lens_routes(
     col = g_matrix(datum, entries, np.eye(1, datum.n_labels, dtype=complex)[0])
     v2 = (datum.delta / datum.D) ** sigma * col[0]
     return complex(v1), complex(v2), sigma
-
-
-def tau_lens(r: int, lens: LensSpace, cf_style: str = "minus") -> InvariantResult:
-    """Direct lens space value; both internal routes evaluated and compared."""
-    v1, v2, sigma = tau_lens_routes(r, lens, cf_style)
-    # written so that a nan fails too
-    if not abs(v1 - v2) <= 1e-6:
-        raise ArithmeticError(
-            f"lens routes disagree for L({lens.p}, {lens.q}) at r = {r}: "
-            f"{v1} vs {v2}"
-        )
-    return InvariantResult(
-        v1, r, "lens_direct", sigma, cf_style, _tol(r, abs(lens.p) + abs(lens.q))
-    )
 
 
 def verlinde_dim(

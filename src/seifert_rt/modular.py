@@ -178,7 +178,6 @@ def w_phase(r: int) -> complex:
 class RRep:
     """Generator images of the level r - 2 representation."""
 
-    r: int
     xi: np.ndarray
     theta_diag: np.ndarray
 
@@ -193,7 +192,7 @@ def r_rep_generators(r: int) -> RRep:
     theta = np.exp(-1j * math.pi / 4) * np.exp(1j * math.pi * j * j / (2 * r))
     xi.setflags(write=False)
     theta.setflags(write=False)
-    return RRep(r, xi, theta)
+    return RRep(xi, theta)
 
 
 def r_rep_word(mat: SL2Z, r: int) -> np.ndarray:

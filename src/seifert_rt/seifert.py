@@ -10,13 +10,12 @@ oriented 3-manifolds and are interchangeable via normalize().
 
 The module also provides the rational Euler number, equivalence of
 presentations, orientation reversal, lens space conversions, the first
-Betti number, and a text and a JSON wire format; the command line reads
-the text form only.
+Betti number, and the text format: parse_seifert reads what
+render_seifert writes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,35 +244,3 @@ def parse_seifert(text: str) -> SeifertData:
             except ValueError:
                 raise ValueError(f"bad pair {item!r} in {text!r}") from None
     return SeifertData(base, genus, b, tuple(pairs))
-
-
-def seifert_to_dict(data: SeifertData) -> dict:
-    out = {
-        "base": data.base,
-        "genus": data.genus,
-        "pairs": [[a, b] for a, b in data.pairs],
-        "normalized": data.normalized,
-    }
-    if data.normalized:
-        out["b"] = data.b
-    return out
-
-
-def seifert_from_dict(obj: dict) -> SeifertData:
-    try:
-        base = obj["base"]
-        genus = int(obj["genus"])
-        normalized = bool(obj.get("normalized", "b" in obj))
-        b = int(obj["b"]) if normalized else None
-        pairs = tuple((int(a), int(bt)) for a, bt in obj["pairs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed Seifert record: {exc}") from None
-    return SeifertData(base, genus, b, pairs)
-
-
-def seifert_to_json(data: SeifertData) -> str:
-    return json.dumps(seifert_to_dict(data), sort_keys=True)
-
-
-def seifert_from_json(text: str) -> SeifertData:
-    return seifert_from_dict(json.loads(text))

@@ -126,10 +126,7 @@ def cf_expand(p: int, q: int, style: str = "minus") -> tuple[int, ...]:
 
 def b_matrix(entries: Sequence[int]) -> SL2Z:
     """Theta^{a_n} Xi ... Theta^{a_1} Xi for entries (a_1, ..., a_n)."""
-    out = IDENTITY
-    for a in entries:
-        out = theta_power(a) * XI * out
-    return out
+    return convergents(entries).final
 
 
 @dataclass(frozen=True)

@@ -156,20 +156,26 @@ def test_explicit_graph_sum_beyond_cap_exits_3(capsys):
     assert "cap" in err
 
 
+BEYOND_FLOAT_RANGE = [
+    # D^(2g-2) overflows a float in generic
+    (["compute", "o;g=70;b=0;", "--r", "100"], "generic at r = 100:"),
+    (["compute", "o;g=400;b=0;", "--r", "5"], "generic at r = 5:"),
+    (["verify", "o;g=400;b=0;", "--r", "5"], "generic at r = 5:"),
+    # a named route whose value is not finite: nan from compact, inf from cs11
+    (["compute", "n;g=140;b=0;", "--r", "100", "--method", "compact"], "compact at r = 100:"),
+    (["compute", "o;g=400;b=0;", "--r", "5", "--method", "cs11"], "cs11 at r = 5:"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["compute", "o;g=70;b=0;", "--r", "100"],
-        ["compute", "o;g=400;b=0;", "--r", "5"],
-        ["verify", "o;g=400;b=0;", "--r", "5"],
-    ],
+    "argv, named", BEYOND_FLOAT_RANGE, ids=[f"argv{i}" for i in range(len(BEYOND_FLOAT_RANGE))]
 )
-def test_value_beyond_float_range_exits_3(capsys, argv):
-    # D^(2g-2) overflows a float in generic; a request too large exits 3
+def test_value_beyond_float_range_exits_3(capsys, argv, named):
+    # a request too large exits 3, and the message names the route and level
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {named}")
     assert "Traceback" not in err
 
 
@@ -275,12 +281,20 @@ def test_verify_random_is_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_impossible_tolerance_fails(capsys):
-    code, out, _ = run_cli(
-        capsys, ["verify", POINCARE, "--r", "3", "--tolerance", "1e-30"]
-    )
+@pytest.mark.parametrize(
+    "argv, marker",
+    [
+        (["verify", POINCARE], "VERIFY FAIL"),
+        # lens prints no footer; its diff (2.9e-16 here) fails the gate in the exit code
+        (["lens", "5", "4"], "lens_direct"),
+        (["axioms"], "AXIOMS FAIL"),
+    ],
+    ids=["verify", "lens", "axioms"],
+)
+def test_impossible_tolerance_fails(capsys, argv, marker):
+    code, out, _ = run_cli(capsys, argv + ["--r", "3", "--tolerance", "1e-30"])
     assert code == 1
-    assert "VERIFY FAIL" in out
+    assert marker in out
 
 
 def nan_at_level_3(route):
@@ -380,6 +394,14 @@ def test_unread_flags_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_flag_table_matches_parser():

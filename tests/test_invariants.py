@@ -15,9 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seifert_rt import invariants
 from seifert_rt.invariants import (
-    METHODS,
     NORMALIZATIONS,
     ComplexityCap,
     InvariantResult,
@@ -27,7 +25,6 @@ from seifert_rt.invariants import (
     tau_cs11,
     tau_generic,
     tau_graph_sum,
-    tau_lens,
     tau_lens_routes,
     tau_section5,
     verlinde_dim,
@@ -390,28 +387,22 @@ def test_generic_long_chain_stays_finite():
 
 
 def test_lens_frozen_values():
-    assert (
-        abs(
-            tau_lens(5, LensSpace(5, 4)).value
-            - (-0.41562693777745346 - 0.5720614028176843j)
-        )
-        < 1e-12
-    )
-    assert (
-        abs(
-            tau_lens(5, LensSpace(7, 3)).value
-            - (-0.35355339059327373 + 0.4866244947338651j)
-        )
-        < 1e-12
-    )
+    for p, q, want in [
+        (5, 4, -0.41562693777745346 - 0.5720614028176843j),
+        (7, 3, -0.35355339059327373 + 0.4866244947338651j),
+    ]:
+        v1, v2, _ = tau_lens_routes(5, LensSpace(p, q))
+        assert abs(v1 - want) < 1e-12, (p, q, "matrix")
+        assert abs(v2 - want) < 1e-12, (p, q, "chain")
 
 
 @pytest.mark.parametrize("r", [3, 5, 8])
 def test_lens_unit_cases(r):
     d_inv = math.sqrt(2.0 / r) * math.sin(math.pi / r)
-    for p, q in [(1, 0), (-1, 0), (1, 1)]:
-        assert abs(tau_lens(r, LensSpace(p, q)).value - d_inv) < 1e-12
-    assert abs(tau_lens(r, LensSpace(0, 1)).value - 1.0) < 1e-12
+    for p, q, want in [(1, 0, d_inv), (-1, 0, d_inv), (1, 1, d_inv), (0, 1, 1.0)]:
+        v1, v2, _ = tau_lens_routes(r, LensSpace(p, q))
+        assert abs(v1 - want) < 1e-12, (p, q, "matrix")
+        assert abs(v2 - want) < 1e-12, (p, q, "chain")
 
 
 def test_lens_internal_routes_agree():
@@ -422,12 +413,6 @@ def test_lens_internal_routes_agree():
             for r in (3, 6):
                 v1, v2, _ = tau_lens_routes(r, LensSpace(p, q))
                 assert abs(v1 - v2) < 1e-10, (p, q, r)
-
-
-def test_lens_rejects_nan_route(monkeypatch):
-    monkeypatch.setattr(invariants, "tau_lens_routes", lambda r, lens, cf: (math.nan, 1.0, 0))
-    with pytest.raises(ArithmeticError):
-        tau_lens(5, LensSpace(5, 4))
 
 
 @pytest.mark.parametrize("p, q", [(5, 4), (7, 3), (12, 5)])
@@ -442,9 +427,9 @@ def test_lens_matches_fibered_presentation():
     for p, q in [(5, 4), (7, 3), (4, 1), (9, 2)]:
         data = seifert_from_lens(LensSpace(p, q))
         for r in (4, 7):
-            direct = tau_lens(r, LensSpace(p, q)).value
             via_fibration = tau_cs11(r, data).value
-            assert abs(direct - via_fibration) < 1e-10
+            for direct in tau_lens_routes(r, LensSpace(p, q))[:2]:
+                assert abs(direct - via_fibration) < 1e-10
 
 
 # ------------------------------------------------------- guards and caps
@@ -497,23 +482,22 @@ def test_missing_epsilon_only_when_consumed():
 
 def test_result_validation():
     with pytest.raises(ValueError):
-        InvariantResult(1 + 0j, 5, "other", None, None, 1e-12)
+        InvariantResult(1 + 0j, 5, "other", None, 1e-12)
     with pytest.raises(ValueError):
-        InvariantResult(1 + 0j, 1, "cs11", None, None, 1e-12)
+        InvariantResult(1 + 0j, 5, "lens_direct", None, 1e-12)
     with pytest.raises(ValueError):
-        InvariantResult(1 + 0j, 5, "cs11", None, None, 0.0)
-    assert set(METHODS) >= {"generic", "cs11", "compact"}
+        InvariantResult(1 + 0j, 1, "cs11", None, 1e-12)
+    with pytest.raises(ValueError):
+        InvariantResult(1 + 0j, 5, "cs11", None, 0.0)
 
 
 def test_result_route_metadata():
     res = tau_generic(sl2_datum(5), POINCARE)
     assert res.method == "generic"
     assert res.sigma_used == 2
-    assert res.cf_style == "minus"
     assert res.tolerance_estimate > 0
     res2 = tau_cs11(5, POINCARE)
     assert res2.sigma_used is None
-    assert res2.cf_style is None
 
 
 # ------------------------------------------------------ fusion dimensions

@@ -1,5 +1,5 @@
 """Tests for Seifert presentation data: parsing, normal form, orientation
-reversal, Euler numbers, lens space conversions and serialization."""
+reversal, Euler numbers and lens space conversions."""
 
 from __future__ import annotations
 
@@ -22,11 +22,7 @@ from seifert_rt.seifert import (
     parse_seifert,
     render_seifert,
     reverse_orientation,
-    seifert_from_dict,
-    seifert_from_json,
     seifert_from_lens,
-    seifert_to_dict,
-    seifert_to_json,
 )
 
 POINCARE = "o;g=0;b=-1;2/1,3/1,5/1"
@@ -209,19 +205,3 @@ def test_seifert_from_lens_euler():
     for p, q in [(5, 4), (7, 3), (3, 2), (2, 1), (-3, 2), (1, 5)]:
         data = seifert_from_lens(LensSpace(p, q))
         assert euler_number(data) == Fraction(-p, q)
-
-
-# ---------------------------------------------------------- serialization
-
-
-def test_dict_round_trip():
-    for text in [POINCARE, "n;g=1;b=0;", "nn:o;g=0;2/1,3/-1", "nn:n;g=2;5/-3"]:
-        data = parse_seifert(text)
-        assert seifert_from_dict(seifert_to_dict(data)) == data
-
-
-def test_json_round_trip():
-    data = parse_seifert("nn:o;g=0;2/1,3/-1")
-    text = seifert_to_json(data)
-    assert seifert_from_json(text) == data
-    assert '"normalized": false' in text
