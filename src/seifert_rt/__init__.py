@@ -6,12 +6,9 @@ r - 2 invariant that cross-validate each other.
 """
 
 from .invariants import (
-    NORMALIZATIONS,
     ComplexityCap,
     InvariantResult,
-    MissingBetti,
     UnsupportedDatum,
-    convert_normalization,
     tau_cs11,
     tau_compact,
     tau_generic,

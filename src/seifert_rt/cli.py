@@ -2,7 +2,6 @@
 
 Subcommands:
   compute   evaluate one presentation across levels and methods
-  table     compute restricted to the columns r,method,re,im,abs,phase
   verify    cross-check all applicable methods against each other
   lens      evaluate both lens space routes and their difference
   axioms    datum, representation, and number-theory consistency report
@@ -22,7 +21,7 @@ Exit codes, mapped from errors in main alone: 0 success, 1 verification
 failure (a value that is not finite fails verify and lens), 2 malformed
 input or configuration, 3 a request too large (a complexity cap, or a
 value beyond floating-point range: a route that overflows, named with
-its level, or a value of compute or table that is not finite).
+its level, or a compute value that is not finite).
 Output is byte-identical for identical inputs, options, and seed.
 """
 
@@ -41,7 +40,7 @@ import numpy as np
 from .invariants import ROUTES, ComplexityCap, InvariantResult, UnsupportedDatum, tau_lens_routes
 from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
 from .seifert import LensSpace, SeifertData, UnsupportedBase, parse_seifert
-from .sl2z import CF_STYLES, b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
+from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
 
 
 def parse_r_spec(text: str) -> tuple[int, ...]:
@@ -96,20 +95,20 @@ def random_seifert(rng: random.Random) -> SeifertData:
 
 
 def evaluate(
-    method: str, data: SeifertData, r: int, cf_style: str, datum: ModularDatum | None = None
+    method: str, data: SeifertData, r: int, datum: ModularDatum | None = None
 ) -> InvariantResult:
     """One route at level r; an overflow names the route and the level."""
     route = ROUTES.get(method)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
     try:
-        return route(r, datum, data, cf_style)
+        return route(r, datum, data)
     except OverflowError as exc:
         raise OverflowError(f"{method} at r = {r}: {exc}") from None
 
 
 def run_routes(
-    data: SeifertData, r: int, methods: tuple[str, ...], cf_style: str, datum: ModularDatum | None = None
+    data: SeifertData, r: int, methods: tuple[str, ...], datum: ModularDatum | None = None
 ) -> list[InvariantResult]:
     """The requested methods at level r, in order.
 
@@ -118,11 +117,11 @@ def run_routes(
     refusal propagate.
     """
     if methods != ("auto",):
-        return [evaluate(m, data, r, cf_style, datum) for m in methods]
+        return [evaluate(m, data, r, datum) for m in methods]
     results = []
     for name in ROUTES:
         try:
-            results.append(evaluate(name, data, r, cf_style, datum))
+            results.append(evaluate(name, data, r, datum))
         except (ComplexityCap, UnsupportedBase, UnsupportedDatum):
             continue
     return results
@@ -214,18 +213,17 @@ AXIOMS_TEXT = "r={r:<4} {check:<42} {residual:.3e}  {mark}"
 
 
 def cmd_compute(args) -> int:
-    """compute and table; they differ only in args.columns."""
     data = parse_seifert(args.seifert)
     r_values = parse_r_spec(args.r)
     datum = load_datum(args.datum) if args.datum else None
     if datum is not None:
         r_values = (datum.n_labels + 1,)  # the datum fixes r; --r is still checked
     methods = _method_list(args)
-    results = [res for r in r_values for res in run_routes(data, r, methods, args.cf_style, datum)]
+    results = [res for r in r_values for res in run_routes(data, r, methods, datum)]
     for res in results:
         if not cmath.isfinite(res.value):
             raise OverflowError(f"{res.method} at r = {res.r}: value beyond floating-point range")
-    emit_records([result_record(res) for res in results], args.format, args.columns)
+    emit_records([result_record(res) for res in results], args.format, COMPUTE_COLUMNS)
     return 0
 
 
@@ -246,7 +244,7 @@ def cmd_verify(args) -> int:
     diffs = []
     for data in inputs:
         for r in r_values:
-            values = [res.value for res in run_routes(data, r, ("auto",), args.cf_style)]
+            values = [res.value for res in run_routes(data, r, ("auto",))]
             diff = _max_gap(values)
             diffs.append(diff)
             rows.append(
@@ -271,7 +269,7 @@ def cmd_lens(args) -> int:
     records = []
     diffs = []
     for r in r_values:
-        v1, v2, sigma = tau_lens_routes(r, lens, args.cf_style)
+        v1, v2, sigma = tau_lens_routes(r, lens)
         diff = _max_gap([v1, v2])
         diffs.append(diff)
         for route, val in (("matrix", v1), ("chain", v2)):
@@ -357,16 +355,9 @@ def _positive_float(text: str) -> float:
     return float(text)
 
 
-def _add_common(sp, cf_style=False, tolerance=False, datum=False) -> None:
+def _add_common(sp, tolerance=False, datum=False) -> None:
     """--r and --format, plus the flags the subcommand reads."""
     sp.add_argument("--r", default="3..10", help="level r or inclusive range a..b")
-    if cf_style:
-        sp.add_argument(
-            "--cf-style",
-            choices=CF_STYLES,
-            default="minus",
-            help="continued fraction style",
-        )
     sp.add_argument(
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
@@ -383,31 +374,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, columns in (
-        ("compute", "evaluate one presentation", COMPUTE_COLUMNS),
-        ("table", "delimited sweep (r,method,re,im,abs,phase)", COMPUTE_COLUMNS[:6]),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("seifert", help="presentation, e.g. 'o;g=0;b=-1;2/1,3/1,5/1'")
-        sp.add_argument(
-            "--method",
-            action="append",
-            help=f"comma-separated methods ({','.join(ROUTES)}) or 'auto' (default)",
-        )
-        _add_common(sp, cf_style=True, datum=True)
-        sp.set_defaults(func=cmd_compute, columns=columns)
+    sp = sub.add_parser("compute", help="evaluate one presentation")
+    sp.add_argument("seifert", help="presentation, e.g. 'o;g=0;b=-1;2/1,3/1,5/1'")
+    sp.add_argument(
+        "--method",
+        action="append",
+        help=f"comma-separated methods ({','.join(ROUTES)}) or 'auto' (default)",
+    )
+    _add_common(sp, datum=True)
+    sp.set_defaults(func=cmd_compute)
 
     sp = sub.add_parser("verify", help="cross-check methods against each other")
     sp.add_argument("seifert", nargs="?", default=None, help="presentation string")
     sp.add_argument("--random", type=int, default=None, metavar="N", help="verify N random presentations")
     sp.add_argument("--seed", type=int, default=0, help="seed for --random")
-    _add_common(sp, cf_style=True, tolerance=True)
+    _add_common(sp, tolerance=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("lens", help="both lens space routes")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    _add_common(sp, cf_style=True, tolerance=True)
+    _add_common(sp, tolerance=True)
     sp.set_defaults(func=cmd_lens)
 
     sp = sub.add_parser("axioms", help="datum and identity residual report")
@@ -421,7 +408,10 @@ def main(argv=None) -> int:
     """Run one subcommand; the only place errors become exit codes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a value beyond floating-point range is caught where it is read:
+        # compute exits 3 on it, and verify, lens and axioms fail their gate
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ComplexityCap, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

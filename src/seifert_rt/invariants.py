@@ -13,13 +13,14 @@ deliberately separate so they cross-check each other:
   tau_section5   chain decomposition with explicit framing bookkeeping
                  (orientable base)
 
-ROUTES names the five, in this order, each with an adapter that takes
-the level r and a loaded datum or None.  generic, graph_sum and section5
-read a datum, the built-in sl2 one unless a datum is loaded; cs11 and
-compact depend on r alone and refuse a loaded datum.  InvariantResult
-accepts these names only.  tau_lens_routes evaluates a lens space along
-two internal routes; there are also Verlinde dimensions and conversion
-between the common output normalizations.
+ROUTES names the five, in this order, each with an adapter
+run(r, datum, data) that takes the level r, a loaded datum or None, and
+the presentation.  generic, graph_sum and section5 read a datum, the
+built-in sl2 one unless a datum is loaded, and expand slopes in the
+default minus style; cs11 and compact depend on r alone and refuse a
+loaded datum.  InvariantResult accepts these names only.
+tau_lens_routes evaluates a lens space along two internal routes; there
+are also Verlinde dimensions.
 
 Conventions: tau_r(S^3) = D^{-1}, tau_r(S^1 x S^2) = 1, labels are
 0-based array indices with the unit label at 0 (sl2 label j sits at
@@ -51,6 +52,7 @@ from .seifert import (
     SeifertData,
     UnsupportedBase,
     euler_number,
+    first_betti,
     normalize,
 )
 from .sl2z import (
@@ -73,10 +75,6 @@ class ComplexityCap(RuntimeError):
 
 class UnsupportedDatum(ValueError):
     """The route is a closed form for the built-in sl2 datum only."""
-
-
-class MissingBetti(ValueError):
-    """Target normalization needs the first Betti number."""
 
 
 @dataclass(frozen=True)
@@ -308,9 +306,7 @@ def tau_graph_sum(
     head = 2 * g
     B = [[-full[head + i][head + j] for j in range(mtot)] for i in range(mtot)]
     sig, nul = signature_exact(B)
-    e = euler_number(mm)
-    b1 = 2 * g + (1 if e == 0 else 0)
-    bexp = b1 - 1 - mtot - nul - sig
+    bexp = first_betti(mm) - 1 - mtot - nul - sig
 
     mir = mirror_datum(datum)
     genera = [g] + [0] * (mtot - 1)
@@ -416,18 +412,18 @@ def _level(name: str, r: int, datum: ModularDatum | None) -> int:
     return r
 
 
-# Each adapter is run(r, datum, data, cf_style), with datum the loaded datum
-# or None for the built-in one.  A route refuses what it cannot run by raising
-# ComplexityCap, UnsupportedBase or UnsupportedDatum; graph_sum's caps are the
-# defaults of tau_graph_sum.  Adapters only: the routes must not share numeric
-# code through this table, since their agreement is the cross-check.  The
-# order is the output order.
-ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData, str], InvariantResult]] = {
-    "generic": lambda r, dm, data, cf: tau_generic(_datum(r, dm), data, cf),
-    "cs11": lambda r, dm, data, cf: tau_cs11(_level("cs11", r, dm), data),
-    "compact": lambda r, dm, data, cf: tau_compact(_level("compact", r, dm), data),
-    "graph_sum": lambda r, dm, data, cf: tau_graph_sum(_datum(r, dm), data, cf),
-    "section5": lambda r, dm, data, cf: tau_section5(_datum(r, dm), data, cf),
+# Each adapter is run(r, datum, data), with datum the loaded datum or None for
+# the built-in one; continued fractions take the routes' default style.  A
+# route refuses what it cannot run by raising ComplexityCap, UnsupportedBase
+# or UnsupportedDatum; graph_sum's caps are the defaults of tau_graph_sum.
+# Adapters only: the routes must not share numeric code through this table,
+# since their agreement is the cross-check.  The order is the output order.
+ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData], InvariantResult]] = {
+    "generic": lambda r, dm, data: tau_generic(_datum(r, dm), data),
+    "cs11": lambda r, dm, data: tau_cs11(_level("cs11", r, dm), data),
+    "compact": lambda r, dm, data: tau_compact(_level("compact", r, dm), data),
+    "graph_sum": lambda r, dm, data: tau_graph_sum(_datum(r, dm), data),
+    "section5": lambda r, dm, data: tau_section5(_datum(r, dm), data),
 }
 
 
@@ -481,32 +477,3 @@ def verlinde_dim(
     if abs(val.imag) > 1e-6 * (1 + abs(val)):
         raise ArithmeticError(f"non-real dimension {val}")
     return float(val.real)
-
-
-NORMALIZATIONS = ("tau", "tau_d", "framed", "lescop")
-
-
-def convert_normalization(
-    result: InvariantResult,
-    target: str,
-    datum: ModularDatum,
-    b1: int | None = None,
-) -> complex:
-    """Convert a value between the common output normalizations.
-
-    "tau" is the stored convention (tau(S^3) = D^{-1}), "tau_d" rescales
-    by D (value 1 on S^3), "framed" multiplies by (delta/D)^{b1} D, and
-    "lescop" by D^{b1 + 1}; the last two need the first Betti number.
-    """
-    if target not in NORMALIZATIONS:
-        raise ValueError(f"target must be one of {NORMALIZATIONS}, got {target!r}")
-    tau = result.value
-    if target == "tau":
-        return tau
-    if target == "tau_d":
-        return datum.D * tau
-    if b1 is None:
-        raise MissingBetti(f"target {target!r} needs the first Betti number")
-    if target == "framed":
-        return (datum.delta / datum.D) ** b1 * datum.D * tau
-    return datum.D ** (b1 + 1) * tau

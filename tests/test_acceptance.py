@@ -173,6 +173,12 @@ def test_criterion_03_cf_style_invariance():
                 a5 = tau_section5(datum, data, "minus").value
                 b5 = tau_section5(datum, data, "euclidean").value
                 worst = max(worst, abs(a5 - b5))
+                try:
+                    ag = tau_graph_sum(datum, data, "minus").value
+                    bg = tau_graph_sum(datum, data, "euclidean").value
+                except ComplexityCap:
+                    continue
+                worst = max(worst, abs(ag - bg))
     report(3, worst < 1e-9, f"max style gap {worst:.2e}")
 
 

@@ -77,9 +77,8 @@ def test_random_seifert_is_seed_stable():
         ["verify", POINCARE, "--tolerance", "0"],
         ["compute", POINCARE, "--r", "3", "--method", "warp"],
         ["compute", POINCARE, "--r", "3", "--tolerance", "1e-3"],
-        ["table", POINCARE, "--r", "3", "--tolerance", "1e-3"],
     ],
-    ids=["r1", "r-empty", "format", "cf-style", "tolerance", "method", "compute-tol", "table-tol"],
+    ids=["r1", "r-empty", "format", "cf-style", "tolerance", "method", "compute-tol"],
 )
 def test_bad_setting_exits_2(capsys, argv):
     # argparse exits from inside main; the other checks return the code
@@ -240,17 +239,14 @@ def test_auto_skips_infeasible_graph_sum(capsys):
     assert {"generic", "cs11", "compact", "section5"} <= methods
 
 
-# ------------------------------------------------------------------ table
-
-
 def test_table_csv_header_and_rows(capsys):
     code, out, _ = run_cli(
         capsys,
-        ["table", POINCARE, "--r", "3..5", "--format", "csv", "--method", "cs11"],
+        ["compute", POINCARE, "--r", "3..5", "--format", "csv", "--method", "cs11"],
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "r,method,re,im,abs,phase"
+    assert lines[0] == "r,method,re,im,abs,phase,sigma,tolerance"
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [row["r"] for row in rows] == ["3", "4", "5"]
     assert abs(float(rows[0]["re"]) - math.sqrt(0.5)) < 1e-12
@@ -258,7 +254,7 @@ def test_table_csv_header_and_rows(capsys):
 
 
 def test_table_text_format_runs(capsys):
-    code, out, _ = run_cli(capsys, ["table", "o;g=1;b=0;", "--r", "3"])
+    code, out, _ = run_cli(capsys, ["compute", "o;g=1;b=0;", "--r", "3"])
     assert code == 0
     assert "generic" in out
 
@@ -300,8 +296,8 @@ def test_impossible_tolerance_fails(capsys, argv, marker):
 def nan_at_level_3(route):
     """route, except that its value at r = 3 is nan."""
 
-    def run(r, dm, data, cf):
-        res = route(r, dm, data, cf)
+    def run(r, dm, data):
+        res = route(r, dm, data)
         return replace(res, value=complex(math.nan)) if res.r == 3 else res
 
     return run
@@ -368,8 +364,8 @@ def test_lens_csv(capsys):
 def test_lens_fails_on_nan(capsys, monkeypatch):
     lens_routes = cli.tau_lens_routes
 
-    def matrix_nan_at_level_3(r, lens, cf):
-        v1, v2, sigma = lens_routes(r, lens, cf)
+    def matrix_nan_at_level_3(r, lens):
+        v1, v2, sigma = lens_routes(r, lens)
         return (complex(math.nan) if r == 3 else v1), v2, sigma
 
     monkeypatch.setattr(cli, "tau_lens_routes", matrix_nan_at_level_3)
@@ -385,8 +381,10 @@ def test_lens_fails_on_nan(capsys, monkeypatch):
         ["axioms", "--cap", "3"],
         ["axioms", "--cf-style", "minus"],
         ["compute", POINCARE, "--cap", "3"],
-        ["table", POINCARE, "--cap", "3"],
+        ["compute", POINCARE, "--cf-style", "euclidean"],
         ["verify", POINCARE, "--cap", "3"],
+        ["verify", POINCARE, "--cf-style", "euclidean"],
+        ["lens", "5", "4", "--cf-style", "euclidean"],
     ],
 )
 def test_unread_flags_are_rejected(capsys, argv):
@@ -394,6 +392,13 @@ def test_unread_flags_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_table_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", POINCARE, "--r", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'table'" in capsys.readouterr().err
 
 
 def test_readme_python_blocks_run():
@@ -517,7 +522,6 @@ OUTPUT_SHAPES = {
         None,
         None,
     ),
-    "table": (["table", POINCARE, "--r", "3"], "r,method,re,im,abs,phase", None, None),
     "lens": (
         ["lens", "5", "4", "--r", "3"],
         "r,method,route,re,im,abs,phase,sigma,diff",

@@ -1,9 +1,10 @@
-"""Tests for the invariant evaluation routes, lens space values, fusion
-dimensions and output normalizations."""
+"""Tests for the invariant evaluation routes, lens space values and fusion
+dimensions."""
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import tracemalloc
@@ -16,11 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seifert_rt.invariants import (
-    NORMALIZATIONS,
     ComplexityCap,
     InvariantResult,
-    MissingBetti,
-    convert_normalization,
     tau_compact,
     tau_cs11,
     tau_generic,
@@ -405,6 +403,18 @@ def test_lens_unit_cases(r):
         assert abs(v2 - want) < 1e-12, (p, q, "chain")
 
 
+def test_lens_routes_cf_style_invariant():
+    # the chain route expands p / -q; the matrix route reads no digits
+    for p, q in itertools.product(range(-10, 11), repeat=2):
+        if math.gcd(p, q) != 1:
+            continue
+        for r in (3, 5, 8, 12):
+            minus = tau_lens_routes(r, LensSpace(p, q), "minus")
+            euclid = tau_lens_routes(r, LensSpace(p, q), "euclidean")
+            for route, a, b in zip(("matrix", "chain"), minus, euclid):
+                assert abs(a - b) < 1e-12, (p, q, r, route)
+
+
 def test_lens_internal_routes_agree():
     for p in range(2, 9):
         for q in range(1, p):
@@ -527,38 +537,3 @@ def test_verlinde_integrality():
             val = verlinde_dim(d, g, colors)
             assert val > -1e-6
             assert abs(val - round(val)) < 1e-6, (r, g, colors, val)
-
-
-# --------------------------------------------------------- normalizations
-
-
-def test_convert_normalization_formulas():
-    d = sl2_datum(5)
-    res = tau_cs11(5, POINCARE)
-    tau = res.value
-    assert convert_normalization(res, "tau", d) == tau
-    assert abs(convert_normalization(res, "tau_d", d) - d.D * tau) < 1e-12
-    framed = convert_normalization(res, "framed", d, b1=0)
-    assert abs(framed - d.D * tau) < 1e-12
-    lescop = convert_normalization(res, "lescop", d, b1=0)
-    assert abs(lescop - d.D * tau) < 1e-12
-    lescop2 = convert_normalization(res, "lescop", d, b1=2)
-    assert abs(lescop2 - d.D**3 * tau) < 1e-12
-    assert tuple(NORMALIZATIONS) == ("tau", "tau_d", "framed", "lescop")
-
-
-def test_convert_normalization_sphere_lands_on_one():
-    d = sl2_datum(6)
-    res = tau_cs11(6, S3_PLUS)
-    assert abs(convert_normalization(res, "tau_d", d) - 1.0) < 1e-12
-
-
-def test_convert_normalization_errors():
-    d = sl2_datum(5)
-    res = tau_cs11(5, POINCARE)
-    with pytest.raises(MissingBetti):
-        convert_normalization(res, "framed", d)
-    with pytest.raises(MissingBetti):
-        convert_normalization(res, "lescop", d)
-    with pytest.raises(ValueError):
-        convert_normalization(res, "other", d)
