@@ -8,7 +8,7 @@ r - 2 invariant that cross-validate each other.
 from .invariants import (
     ComplexityCap,
     InvariantResult,
-    UnsupportedDatum,
+    Unsupported,
     tau_cs11,
     tau_compact,
     tau_generic,
@@ -18,9 +18,6 @@ from .invariants import (
     verlinde_dim,
 )
 from .modular import (
-    DiagonalCase,
-    InvalidLevel,
-    MissingEpsilon,
     ModularDatum,
     check_axioms,
     datum_from_dict,
@@ -37,10 +34,7 @@ from .modular import (
 )
 from .seifert import (
     LensSpace,
-    NormalizeFirst,
     SeifertData,
-    UnsupportedBase,
-    UnsupportedGeneralizedFibration,
     are_equivalent,
     euler_number,
     first_betti,
@@ -55,10 +49,7 @@ from .sl2z import (
     IDENTITY,
     XI,
     ConvergentTable,
-    InvalidFraction,
-    InvalidModulus,
     SL2Z,
-    ShapeError,
     b_matrix,
     cf_expand,
     convergents,

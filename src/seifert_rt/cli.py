@@ -7,15 +7,17 @@ Subcommands:
   axioms    datum, representation, and number-theory consistency report
 
 The methods are the routes of invariants.ROUTES.  The default, auto,
-tries each route and skips one that refuses its base, its datum or its
-cost; a method named with --method that refuses exits with code 2, or 3
-for a complexity cap.  graph_sum's caps are fixed in tau_graph_sum.
+tries each route and skips one that refuses its base or its datum
+(Unsupported) or its cost (ComplexityCap); a method named with --method
+that refuses exits with code 2, or 3 for a complexity cap.  graph_sum's
+caps are fixed in tau_graph_sum.
 lens_direct is reached only through lens.
 Every subcommand prints through emit_records.
 
 Each setting is checked once: by argparse (choices, or the type= of
 --tolerance) or by the function that consumes it (parse_r_spec for --r,
-evaluate for --method).  A subcommand takes only the flags it reads.
+_method_list and evaluate for --method).  A subcommand takes only the
+flags it reads.
 
 Exit codes, mapped from errors in main alone: 0 success, 1 verification
 failure (a value that is not finite fails verify and lens), 2 malformed
@@ -37,9 +39,9 @@ import sys
 
 import numpy as np
 
-from .invariants import ROUTES, ComplexityCap, InvariantResult, UnsupportedDatum, tau_lens_routes
+from .invariants import ROUTES, ComplexityCap, InvariantResult, Unsupported, tau_lens_routes
 from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
-from .seifert import LensSpace, SeifertData, UnsupportedBase, parse_seifert
+from .seifert import LensSpace, SeifertData, parse_seifert
 from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
 
 
@@ -122,7 +124,7 @@ def run_routes(
     for name in ROUTES:
         try:
             results.append(evaluate(name, data, r, datum))
-        except (ComplexityCap, UnsupportedBase, UnsupportedDatum):
+        except (ComplexityCap, Unsupported):
             continue
     return results
 
@@ -156,21 +158,21 @@ def result_record(res: InvariantResult) -> dict:
 
 
 def emit_records(
-    records: list[dict],
+    rows: list[dict],
     output: str,
-    columns: list[str],
     summary: dict | None = None,
     text: str | None = None,
     footer: str | None = None,
 ) -> None:
-    """Print records, restricted to columns, in the output format.
+    """Print a non-empty list of records in the output format; the columns
+    are the keys of the first record, in order.
 
     JSON is the list of rows, or {**summary, "rows": rows} when a summary
     is given.  Text is an aligned table, or text.format(**row, mark=...)
     per row when a row format is given (mark is ok or FAIL from the row's
     ok), followed by the footer.
     """
-    rows = [{k: rec.get(k) for k in columns} for rec in records]
+    columns = list(rows[0])
     if output == "json":
         print(json.dumps(rows if summary is None else {**summary, "rows": rows}, indent=1))
         return
@@ -201,14 +203,13 @@ def _cell(val) -> str:
 
 def _method_list(args) -> tuple[str, ...]:
     entries = args.method or ["auto"]
-    return tuple(m.strip() for entry in entries for m in entry.split(",") if m.strip())
+    methods = tuple(m.strip() for entry in entries for m in entry.split(",") if m.strip())
+    if not methods:
+        raise ValueError("--method names no route")
+    return methods
 
 
-COMPUTE_COLUMNS = ["r", "method", "re", "im", "abs", "phase", "sigma", "tolerance"]
-VERIFY_COLUMNS = ["input", "r", "methods", "max_diff", "ok"]
 VERIFY_TEXT = "{input}  r={r}  methods={methods}  max_diff={max_diff:.15g}  {mark}"
-LENS_COLUMNS = ["r", "method", "route", "re", "im", "abs", "phase", "sigma", "diff"]
-AXIOMS_COLUMNS = ["r", "check", "residual", "ok"]
 AXIOMS_TEXT = "r={r:<4} {check:<42} {residual:.3e}  {mark}"
 
 
@@ -223,7 +224,7 @@ def cmd_compute(args) -> int:
     for res in results:
         if not cmath.isfinite(res.value):
             raise OverflowError(f"{res.method} at r = {res.r}: value beyond floating-point range")
-    emit_records([result_record(res) for res in results], args.format, COMPUTE_COLUMNS)
+    emit_records([result_record(res) for res in results], args.format)
     return 0
 
 
@@ -255,7 +256,6 @@ def cmd_verify(args) -> int:
     emit_records(
         rows,
         args.format,
-        VERIFY_COLUMNS,
         summary={"ok": ok, "worst": f15(worst)},
         text=VERIFY_TEXT,
         footer=f"{'VERIFY OK' if ok else 'VERIFY FAIL'} worst={worst:.15g} over {len(inputs)} input(s)",
@@ -283,7 +283,7 @@ def cmd_lens(args) -> int:
                     "diff": f15(diff),
                 }
             )
-    emit_records(records, args.format, LENS_COLUMNS)
+    emit_records(records, args.format)
     return 0 if np.max(diffs) < args.tolerance else 1
 
 
@@ -341,7 +341,6 @@ def cmd_axioms(args) -> int:
     emit_records(
         rows,
         args.format,
-        AXIOMS_COLUMNS,
         summary={"ok": ok},
         text=AXIOMS_TEXT,
         footer="AXIOMS OK" if ok else "AXIOMS FAIL",

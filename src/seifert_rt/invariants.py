@@ -38,19 +38,16 @@ from fractions import Fraction
 import numpy as np
 
 from .modular import (
-    MissingEpsilon,
     ModularDatum,
     g_matrix,
     mirror_datum,
     r_rep_gauss,
-    r_rep_word,
     sl2_datum,
     w_phase,
 )
 from .seifert import (
     LensSpace,
     SeifertData,
-    UnsupportedBase,
     euler_number,
     first_betti,
     normalize,
@@ -73,8 +70,8 @@ class ComplexityCap(RuntimeError):
     """Requested evaluation exceeds the configured complexity caps."""
 
 
-class UnsupportedDatum(ValueError):
-    """The route is a closed form for the built-in sl2 datum only."""
+class Unsupported(ValueError):
+    """A route refuses a presentation or datum outside its scope."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def _eps_weight(datum: ModularDatum, genus: int) -> np.ndarray:
         return out
     for i in np.nonzero(selfdual)[0]:
         if datum.eps[i] is None:
-            raise MissingEpsilon(f"label {int(i)} has no cross-cap sign")
+            raise ValueError(f"label {int(i)} has no cross-cap sign")
         out[i] = datum.eps[i]
     return out
 
@@ -287,7 +284,7 @@ def tau_graph_sum(
     three complexity caps (total chain length, level, term count).
     """
     if data.base != "o":
-        raise UnsupportedBase("graph state sum needs an orientable base")
+        raise Unsupported("graph state sum needs an orientable base")
     mm = normalize(data)
     g = mm.genus
     cfs = [cf_expand(a, b, cf_style) for a, b in mm.pairs]
@@ -348,7 +345,7 @@ def tau_section5(
     per-chain defects (sum of digits - phi)/3 plus a Maslov-type offset.
     """
     if data.base != "o":
-        raise UnsupportedBase("chain decomposition needs an orientable base")
+        raise Unsupported("chain decomposition needs an orientable base")
     mm = normalize(data)
     g = mm.genus
     b = mm.b
@@ -408,14 +405,14 @@ def _datum(r: int, datum: ModularDatum | None) -> ModularDatum:
 def _level(name: str, r: int, datum: ModularDatum | None) -> int:
     """r for an sl2 closed form, which depends on the level alone."""
     if datum is not None:
-        raise UnsupportedDatum(f"method {name!r} needs the built-in sl2 datum")
+        raise Unsupported(f"method {name!r} needs the built-in sl2 datum")
     return r
 
 
 # Each adapter is run(r, datum, data), with datum the loaded datum or None for
 # the built-in one; continued fractions take the routes' default style.  A
-# route refuses what it cannot run by raising ComplexityCap, UnsupportedBase
-# or UnsupportedDatum; graph_sum's caps are the defaults of tau_graph_sum.
+# route refuses what it cannot run by raising ComplexityCap or Unsupported;
+# graph_sum's caps are the defaults of tau_graph_sum.
 # Adapters only: the routes must not share numeric code through this table,
 # since their agreement is the cross-check.  The order is the output order.
 ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData], InvariantResult]] = {
@@ -433,7 +430,7 @@ def tau_lens_routes(
     """Both lens space routes: (single-matrix value, chain value, sigma).
 
     Route one feeds the matrix [[q, b], [p, d]] through the Gauss-sum
-    representation (word route when p = 0) and multiplies by the
+    representation (a power of w alone when p = 0) and multiplies by the
     Rademacher phase.  Route two expands p / -q into a chain with a
     trailing zero and evaluates the framed chain product.  The two must
     agree to numerical precision.
@@ -443,10 +440,14 @@ def tau_lens_routes(
     _, xg, yg = ext_gcd(q, p)
     # q d0 - b0 p = 1 with d0 = xg, b0 = -yg
     U = SL2Z(q, -yg, p, xg)
-    w = w_phase(r)
-    mat = r_rep_word(U, r) if p == 0 else r_rep_gauss(U, r, (0,))
+    phi = rademacher_phi(U)
+    if p == 0:
+        # U = +-Theta^(q b), whose unit-label entry Theta_1^(q b) is w^(-q b)
+        entry, phi = 1, phi - q * U.b
+    else:
+        entry = r_rep_gauss(U, r, (0,))[0, 0]
     # w has order 8r
-    v1 = w ** ((rademacher_phi(U) + 4 * r) % (8 * r) - 4 * r) * mat[0, 0]
+    v1 = w_phase(r) ** ((phi + 4 * r) % (8 * r) - 4 * r) * entry
 
     entries = (0, 0, 0) if q == 0 else cf_expand(p, -q, cf_style) + (0,)
     table = convergents(entries)

@@ -27,18 +27,6 @@ import numpy as np
 from .sl2z import SL2Z, b_matrix, cf_expand, rademacher_phi, sign
 
 
-class InvalidLevel(ValueError):
-    """sl2 datum needs r >= 2."""
-
-
-class DiagonalCase(ValueError):
-    """Gauss-sum entries need a nonzero lower-left entry; use the word route."""
-
-
-class MissingEpsilon(ValueError):
-    """A cross-cap sign is required but not present in the datum."""
-
-
 @dataclass(frozen=True, eq=False)
 class ModularDatum:
     """Numeric modular category data; arrays are read-only.
@@ -90,7 +78,7 @@ def sl2_datum(r: int) -> ModularDatum:
     eps_j = (-1)^(j - 1), every label self-dual.
     """
     if r < 2:
-        raise InvalidLevel(f"need r >= 2, got {r}")
+        raise ValueError(f"need r >= 2, got {r}")
     j = np.arange(1, r)
     s1 = math.sin(math.pi / r)
     S = (np.sin(np.pi * np.outer(j, j) / r) / s1).astype(complex)
@@ -186,7 +174,7 @@ class RRep:
 def r_rep_generators(r: int) -> RRep:
     """Xi_{jl} = sqrt(2/r) sin(j l pi / r); Theta_jj = e^{-i pi/4} e^{i pi j^2/2r}."""
     if r < 2:
-        raise InvalidLevel(f"need r >= 2, got {r}")
+        raise ValueError(f"need r >= 2, got {r}")
     j = np.arange(1, r)
     xi = np.sqrt(2.0 / r) * np.sin(np.pi * np.outer(j, j) / r).astype(complex)
     theta = np.exp(-1j * math.pi / 4) * np.exp(1j * math.pi * j * j / (2 * r))
@@ -224,16 +212,16 @@ def r_rep_gauss(
 
     Only the given columns (0-based, all by default) are summed, as an
     (r - 1) x len(columns) array: O(|c| r) work per column.  Needs
-    c != 0 (raises DiagonalCase otherwise).  Identical for mat and
+    c != 0 (raises ValueError otherwise).  Identical for mat and
     -mat.  Phases are reduced exactly mod 4 r |c| in integer arithmetic
     before any floating point: a and d first, then each product in turn,
     so every int64 intermediate stays below mod^2, asserted < 2^63.
     """
     c = mat.c
     if c == 0:
-        raise DiagonalCase(f"{mat.rows()} is upper triangular; use r_rep_word")
+        raise ValueError(f"{mat.rows()} is upper triangular; use r_rep_word")
     if r < 2:
-        raise InvalidLevel(f"need r >= 2, got {r}")
+        raise ValueError(f"need r >= 2, got {r}")
     # exp(-i pi phi / 4) has period 8 in phi; the centered residue keeps small phi
     phi = (rademacher_phi(mat) + 4) % 8 - 4
     jj = np.arange(1, r, dtype=np.int64)

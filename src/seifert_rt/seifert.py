@@ -23,18 +23,6 @@ from fractions import Fraction
 from .sl2z import ext_gcd
 
 
-class UnsupportedGeneralizedFibration(ValueError):
-    """A pair with alpha = 0 describes a generalized fibration, out of scope."""
-
-
-class NormalizeFirst(ValueError):
-    """Operation defined on normalized presentations only."""
-
-
-class UnsupportedBase(ValueError):
-    """Operation not defined for this base surface."""
-
-
 BASES = ("o", "n")
 
 
@@ -61,9 +49,7 @@ class SeifertData:
             raise ValueError("non-orientable base needs at least one cross-cap")
         for alpha, beta in self.pairs:
             if alpha == 0:
-                raise UnsupportedGeneralizedFibration(
-                    f"pair ({alpha}, {beta}) has alpha = 0"
-                )
+                raise ValueError(f"pair ({alpha}, {beta}) has alpha = 0")
             if alpha < 0:
                 raise ValueError(f"alpha must be positive, got ({alpha}, {beta})")
             if math.gcd(alpha, beta) != 1:
@@ -148,7 +134,7 @@ def reverse_orientation(data: SeifertData) -> SeifertData:
     (e; g | -n - b; (a_j, a_j - b_j)) with n the number of pairs.
     """
     if not data.normalized:
-        raise NormalizeFirst("reverse_orientation needs a normalized presentation")
+        raise ValueError("reverse_orientation needs a normalized presentation")
     pairs = tuple((alpha, alpha - beta) for alpha, beta in data.pairs)
     return SeifertData(data.base, data.genus, -len(data.pairs) - data.b, pairs)
 
@@ -156,7 +142,7 @@ def reverse_orientation(data: SeifertData) -> SeifertData:
 def first_betti(data: SeifertData) -> int:
     """First Betti number; orientable base only."""
     if data.base != "o":
-        raise UnsupportedBase("first_betti implemented for orientable base only")
+        raise ValueError("first_betti implemented for orientable base only")
     e = euler_number(data)
     return 2 * data.genus + (1 if e == 0 else 0)
 

@@ -21,18 +21,6 @@ if TYPE_CHECKING:
     from .seifert import SeifertData
 
 
-class InvalidFraction(ValueError):
-    """Continued fraction of p/q needs q != 0 and gcd(p, q) = 1."""
-
-
-class InvalidModulus(ValueError):
-    """Dedekind sum needs a positive modulus coprime to the argument."""
-
-
-class ShapeError(ValueError):
-    """Matrix input has the wrong shape or symmetry."""
-
-
 def sign(x) -> int:
     """Sign in {-1, 0, 1}; works for int and Fraction."""
     if x > 0:
@@ -108,9 +96,9 @@ def cf_expand(p: int, q: int, style: str = "minus") -> tuple[int, ...]:
     "euclidean" takes floor quotients.
     """
     if q == 0:
-        raise InvalidFraction(f"{p}/{q} has zero denominator")
+        raise ValueError(f"{p}/{q} has zero denominator")
     if math.gcd(p, q) != 1:
-        raise InvalidFraction(f"{p}/{q} is not reduced")
+        raise ValueError(f"{p}/{q} is not reduced")
     if style not in CF_STYLES:
         raise ValueError(f"style must be one of {CF_STYLES}, got {style!r}")
     digits = []
@@ -164,10 +152,10 @@ def dedekind_sum(s: int, q: int) -> Fraction:
     (see dedekind_sum_cotangent) on coprime arguments.
     """
     if q <= 0:
-        raise InvalidModulus(f"modulus must be positive, got {q}")
+        raise ValueError(f"modulus must be positive, got {q}")
     s %= q
     if math.gcd(s, q) != 1:
-        raise InvalidModulus(f"{s} and {q} are not coprime")
+        raise ValueError(f"{s} and {q} are not coprime")
     total = Fraction(0)
     sgn = 1
     h, k = s, q
@@ -181,11 +169,11 @@ def dedekind_sum(s: int, q: int) -> Fraction:
 def dedekind_sum_cotangent(s: int, q: int) -> float:
     """Defining cotangent sum, floating point; cross-check oracle."""
     if q <= 0:
-        raise InvalidModulus(f"modulus must be positive, got {q}")
+        raise ValueError(f"modulus must be positive, got {q}")
     if q == 1:
         return 0.0
     if math.gcd(s, q) != 1:
-        raise InvalidModulus(f"{s} and {q} are not coprime")
+        raise ValueError(f"{s} and {q} are not coprime")
     total = 0.0
     for j in range(1, q):
         total += (
@@ -262,9 +250,7 @@ def linking_matrix(
     with -2 to the central vertex, whose diagonal becomes -b - 2g.
     """
     if len(cfs) != len(data.pairs):
-        raise ShapeError(
-            f"{len(data.pairs)} pairs but {len(cfs)} digit sequences"
-        )
+        raise ValueError(f"{len(data.pairs)} pairs but {len(cfs)} digit sequences")
     b = data.b if data.b is not None else 0
     g = data.genus
     orientable = data.base == "o"
@@ -302,11 +288,11 @@ def signature_exact(mat: Sequence[Sequence[int | Fraction]]) -> tuple[int, int]:
     m = [[Fraction(x) for x in row] for row in mat]
     for row in m:
         if len(row) != n:
-            raise ShapeError("matrix is not square")
+            raise ValueError("matrix is not square")
     for i in range(n):
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
-                raise ShapeError("matrix is not symmetric")
+                raise ValueError("matrix is not symmetric")
     sig = 0
     null = 0
     while m:

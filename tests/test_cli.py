@@ -77,8 +77,9 @@ def test_random_seifert_is_seed_stable():
         ["verify", POINCARE, "--tolerance", "0"],
         ["compute", POINCARE, "--r", "3", "--method", "warp"],
         ["compute", POINCARE, "--r", "3", "--tolerance", "1e-3"],
+        ["compute", POINCARE, "--method", ","],
     ],
-    ids=["r1", "r-empty", "format", "cf-style", "tolerance", "method", "compute-tol"],
+    ids=["r1", "r-empty", "format", "cf-style", "tolerance", "method", "compute-tol", "no-method"],
 )
 def test_bad_setting_exits_2(capsys, argv):
     # argparse exits from inside main; the other checks return the code
@@ -484,6 +485,44 @@ def test_datum_file_forbids_number_theory_routes(capsys, tmp_path):
     )
     assert code == 2
     assert "datum" in err
+
+
+# argv, with d5.json and d5_noeps.json standing for datum files the test
+# writes, and the whole of stderr
+REFUSED = {
+    "alpha-zero": (["compute", "o;g=0;b=0;0/1", "--r", "3"], "pair (0, 1) has alpha = 0"),
+    "not-coprime": (["compute", "o;g=0;b=0;4/2", "--r", "3"], "pair (4, 2) is not coprime"),
+    "out-of-range": (
+        ["compute", "o;g=0;b=0;5/7", "--r", "3"],
+        "normalized presentation needs 0 < beta < alpha, got (5, 7)",
+    ),
+    "graph_sum-base": (
+        ["compute", "n;g=1;b=1;2/1", "--method", "graph_sum"],
+        "graph state sum needs an orientable base",
+    ),
+    "section5-base": (
+        ["compute", "n;g=1;b=1;2/1", "--method", "section5"],
+        "chain decomposition needs an orientable base",
+    ),
+    "cs11-datum": (
+        ["compute", "o;g=0;b=1;", "--datum", "d5.json", "--method", "cs11"],
+        "method 'cs11' needs the built-in sl2 datum",
+    ),
+    "no-eps": (
+        ["compute", "n;g=1;b=0;2/1", "--datum", "d5_noeps.json"],
+        "label 1 has no cross-cap sign",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_input_message_exits_2(capsys, tmp_path, case):
+    argv, message = REFUSED[case]
+    save_datum(sl2_datum(5), str(tmp_path / "d5.json"))
+    save_datum(replace(sl2_datum(5), eps=(1, None, 1, None)), str(tmp_path / "d5_noeps.json"))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from seifert_rt.invariants import (
     ComplexityCap,
     InvariantResult,
+    Unsupported,
     tau_compact,
     tau_cs11,
     tau_generic,
@@ -27,11 +28,10 @@ from seifert_rt.invariants import (
     tau_section5,
     verlinde_dim,
 )
-from seifert_rt.modular import MissingEpsilon, ModularDatum, sl2_datum
+from seifert_rt.modular import ModularDatum, sl2_datum
 from seifert_rt.seifert import (
     LensSpace,
     SeifertData,
-    UnsupportedBase,
     euler_number,
     normalize,
     parse_seifert,
@@ -384,6 +384,26 @@ def test_generic_long_chain_stays_finite():
 # ------------------------------------------------------------ lens spaces
 
 
+def test_lens_matrix_route_reads_no_matrix_for_s1_x_s2():
+    """For L(0, 1) route one is a power of w alone: its peak traced
+    allocation, the level datum already built, stays near that of L(5, 1)
+    (one Gauss column), far below one (r - 1)^2 complex matrix (64 MB)."""
+    r = 2000
+    sl2_datum(r)
+    peaks = {}
+    try:
+        for p in (5, 0):
+            tracemalloc.start()
+            try:
+                tau_lens_routes(r, LensSpace(p, 1))
+                peaks[p] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    finally:
+        sl2_datum.cache_clear()  # the large level is not worth keeping
+    assert peaks[0] < 2 * peaks[5], peaks
+
+
 def test_lens_frozen_values():
     for p, q, want in [
         (5, 4, -0.41562693777745346 - 0.5720614028176843j),
@@ -458,9 +478,9 @@ def test_graph_sum_caps():
 def test_nonorientable_base_unsupported_routes():
     kb = parse_seifert("n;g=1;b=0;")
     d = sl2_datum(5)
-    with pytest.raises(UnsupportedBase):
+    with pytest.raises(Unsupported, match="orientable base"):
         tau_graph_sum(d, kb)
-    with pytest.raises(UnsupportedBase):
+    with pytest.raises(Unsupported, match="orientable base"):
         tau_section5(d, kb)
 
 
@@ -483,7 +503,7 @@ def test_missing_epsilon_only_when_consumed():
     bare = no_eps_datum(5)
     odd = parse_seifert("n;g=1;b=0;")
     even = parse_seifert("n;g=2;b=0;")
-    with pytest.raises(MissingEpsilon):
+    with pytest.raises(ValueError, match="label 0 has no cross-cap sign"):
         tau_generic(bare, odd)
     a = tau_generic(d, even).value
     b = tau_generic(bare, even).value

@@ -13,8 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert_rt.modular import (
-    DiagonalCase,
-    InvalidLevel,
     ModularDatum,
     check_axioms,
     datum_from_dict,
@@ -62,9 +60,9 @@ def test_sl2_datum_frozen_r3():
 
 
 def test_sl2_datum_invalid_level():
-    with pytest.raises(InvalidLevel):
+    with pytest.raises(ValueError, match="need r >= 2, got 1"):
         sl2_datum(1)
-    with pytest.raises(InvalidLevel):
+    with pytest.raises(ValueError, match="need r >= 2, got 0"):
         sl2_datum(0)
 
 
@@ -255,9 +253,9 @@ def test_word_route_matches_gauss_route(r):
 
 
 def test_gauss_route_diagonal_case():
-    with pytest.raises(DiagonalCase):
+    with pytest.raises(ValueError, match="is upper triangular; use r_rep_word"):
         r_rep_gauss(theta_power(2), 5)
-    with pytest.raises(InvalidLevel):
+    with pytest.raises(ValueError, match="need r >= 2, got 1"):
         r_rep_gauss(SL2Z(0, -1, 1, 0), 1)
 
 

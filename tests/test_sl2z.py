@@ -18,10 +18,7 @@ from seifert_rt.sl2z import (
     IDENTITY,
     XI,
     ConvergentTable,
-    InvalidFraction,
-    InvalidModulus,
     SL2Z,
-    ShapeError,
     b_matrix,
     cf_expand,
     convergents,
@@ -85,9 +82,9 @@ def test_cf_expand_frozen():
 
 
 def test_cf_expand_errors():
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(ValueError, match="3/0 has zero denominator"):
         cf_expand(3, 0)
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(ValueError, match="6/4 is not reduced"):
         cf_expand(6, 4)
     with pytest.raises(ValueError):
         cf_expand(3, 2, "nearest")
@@ -160,9 +157,9 @@ def test_dedekind_frozen():
 
 
 def test_dedekind_errors():
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(ValueError, match="2 and 4 are not coprime"):
         dedekind_sum(2, 4)
-    with pytest.raises(InvalidModulus):
+    with pytest.raises(ValueError, match="modulus must be positive, got 0"):
         dedekind_sum(1, 0)
 
 
@@ -272,7 +269,7 @@ def test_linking_matrix_frozen_small():
 
 def test_linking_matrix_shape_error():
     data = parse_seifert("o;g=0;b=-1;2/1,3/1,5/1")
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="3 pairs but 1 digit sequences"):
         linking_matrix(data, ((2,),))
 
 
@@ -285,9 +282,9 @@ def test_signature_exact_frozen():
 
 
 def test_signature_exact_shape_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="matrix is not square"):
         signature_exact(((1, 2),))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="matrix is not symmetric"):
         signature_exact(((1, 2), (3, 4)))
 
 
