@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import json
 import math
 import random
@@ -366,7 +367,9 @@ def _add_common(sp, tolerance=False, datum=False) -> None:
         sp.add_argument("--datum", default=None, help="JSON modular datum file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="seifert-rt",
         description="Quantum invariants of Seifert fibered 3-manifolds.",

@@ -30,6 +30,7 @@ index j - 1), and t = exp(i pi / 2r).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -65,6 +66,11 @@ from .sl2z import (
     sign,
     signature_exact,
 )
+
+# phases per block of a cs11 fiber sum, (mu, m) terms times the r - 1 values
+# of gamma: bounds its memory whatever alpha
+CS11_BLOCK = 2**14
+
 
 class ComplexityCap(RuntimeError):
     """Requested evaluation exceeds the configured complexity caps."""
@@ -172,7 +178,10 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     arithmetic before exponentiation; the only irrational inputs are the
     sine factors.  No matrices, no continued fractions.  The sum over
     (mu, m) factors into one Gauss sum per fiber, so the work is
-    O(r sum 2 alpha_j).
+    O(r sum 2 alpha_j).  Each fiber's (r - 1) x 2 alpha phase grid is
+    summed in blocks of at most CS11_BLOCK phases (one (mu, m) term when
+    r - 1 is larger), so memory is bounded by the block whatever alpha.
+    OverflowError when a phase passes int64.
     """
     pairs = data.pairs
     n = len(pairs)
@@ -197,17 +206,22 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     # h and q are reduced mod 2 r alpha_j in Python ints: gamma h + q < 2 r^2 alpha_j
     gam = np.arange(1, r, dtype=np.int64)
     W = np.ones(r - 1, dtype=complex)
+    rows = max(1, CS11_BLOCK // (r - 1))
     for alpha, beta in pairs:
         bstar = 0 if alpha == 1 else pow(beta % alpha, -1, alpha)
         mod = 2 * r * alpha
-        assert r * mod < 2**63, f"int64 phase overflow at r = {r}, alpha = {alpha}"
-        terms = [
+        if r * mod >= 2**63:
+            raise OverflowError(f"int64 phase overflow at r = {r}, alpha = {alpha}")
+        grid = (
             (s, -(2 * r * m + s) % mod, -2 * r * bstar * (r * m * m + s * m) % mod)
             for s in (1, -1)
             for m in range(alpha)
-        ]
-        mu, h, q = np.array(terms, dtype=np.int64).T
-        W *= np.exp(1j * math.pi * ((gam[:, None] * h + q) % mod) / (r * alpha)) @ mu
+        )
+        fiber = np.zeros(r - 1, dtype=complex)
+        while terms := list(itertools.islice(grid, rows)):
+            mu, h, q = np.array(terms, dtype=np.int64).T
+            fiber += np.exp(1j * math.pi * ((gam[:, None] * h + q) % mod) / (r * alpha)) @ mu
+        W *= fiber
 
     sgn_g = np.where((gam * aeg) % 2 == 1, -1.0, 1.0)
     # exp(i pi e gam^2 / 2r) has period 2 den_e in the numerator of e, which

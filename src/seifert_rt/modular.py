@@ -162,6 +162,10 @@ def w_phase(r: int) -> complex:
     return cmath.exp(1j * math.pi * (r - 2) / (4 * r))
 
 
+# phases per block of r_rep_gauss: bounds its memory whatever |c|
+GAUSS_BLOCK = 2**14
+
+
 @dataclass(frozen=True, eq=False)
 class RRep:
     """Generator images of the level r - 2 representation."""
@@ -211,11 +215,16 @@ def r_rep_gauss(
     """Representation matrix entrywise through a finite Gauss sum.
 
     Only the given columns (0-based, all by default) are summed, as an
-    (r - 1) x len(columns) array: O(|c| r) work per column.  Needs
-    c != 0 (raises ValueError otherwise).  Identical for mat and
-    -mat.  Phases are reduced exactly mod 4 r |c| in integer arithmetic
-    before any floating point: a and d first, then each product in turn,
-    so every int64 intermediate stays below mod^2, asserted < 2^63.
+    (r - 1) x len(columns) array.  Each column is summed over all 2 |c|
+    shifts g = j + 2 r n mu at once: the shifts are the rows of one phase
+    array, taken in blocks of at most GAUSS_BLOCK phases (one row when
+    r - 1 is larger), the sign mu folded into each exact phase, and one
+    exp and one sum reduce each block.  Work is O(|c| r) per column;
+    memory is bounded by the block, whatever |c|.  Needs c != 0 (raises
+    ValueError otherwise).  Identical for mat and -mat.  Phases are
+    reduced exactly mod 4 r |c| in integer arithmetic before any floating
+    point: a and d first, then each product in turn, so every int64
+    intermediate stays below mod^2; OverflowError when that passes 2^63.
     """
     c = mat.c
     if c == 0:
@@ -227,16 +236,24 @@ def r_rep_gauss(
     jj = np.arange(1, r, dtype=np.int64)
     kk = jj if columns is None else jj[list(columns)]
     mod = 4 * r * abs(c)
-    assert mod * mod < 2**63, f"int64 Gauss phase overflow at r = {r}, c = {c}"
+    if mod * mod >= 2**63:
+        raise OverflowError(f"int64 Gauss phase overflow at r = {r}, c = {c}")
     a, d = mat.a % mod, mat.d % mod
     dkk = d * kk % mod * kk % mod
+    scale = 1j * math.pi / (2 * r * c)
     total = np.zeros((r - 1, len(kk)), dtype=complex)
-    for mu in (1, -1):
-        for n in range(abs(c)):
-            # |g| < mod / 2
-            g = jj + 2 * r * n * mu
-            num = (a * g % mod * g % mod)[:, None] - 2 * mu * np.outer(g, kk) + dkk[None, :]
-            total += mu * np.exp((1j * math.pi / (2 * r * c)) * (num % mod))
+    shifts = 2 * abs(c)
+    rows = max(1, GAUSS_BLOCK // (r - 1))
+    for s0 in range(0, shifts, rows):
+        # shift s has n = s mod |c| and mu = 1 for s < |c|, -1 after, so
+        # |g| < mod / 2; the sign mu adds half a period, mod / 2, to the phase
+        s = np.arange(s0, min(s0 + rows, shifts), dtype=np.int64)[:, None]
+        mu = np.where(s < abs(c), 1, -1)
+        g = jj + 2 * r * (s % abs(c)) * mu
+        base = a * g % mod * g % mod + (1 - mu) * (mod // 4)
+        mug = 2 * mu * g
+        for i, k in enumerate(kk):
+            total[:, i] += np.exp(scale * ((base - k * mug + dkk[i]) % mod)).sum(axis=0)
     pref = (
         1j
         * sign(c)

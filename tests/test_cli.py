@@ -179,6 +179,33 @@ def test_value_beyond_float_range_exits_3(capsys, argv, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compute", "o;g=0;b=-1;1000003/1", "--r", "3000", "--method", "compact"], "compact"),
+        (["compute", "o;g=0;b=-1;600000000001/1", "--r", "3000", "--method", "cs11"], "cs11"),
+    ],
+    ids=["compact", "cs11"],
+)
+def test_int64_phase_bound_exits_3(capsys, argv, named):
+    # the bound is checked, not asserted, so it holds under python -O too
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {named} at r = 3000: int64")
+    assert err.count("\n") == 1
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    calls = [["compute", POINCARE, "--r", "3..5"], ["verify", POINCARE, "--r", "3..5"]]
+    first = [run_cli(capsys, argv) for argv in calls]
+    again = [run_cli(capsys, argv) for argv in calls]
+    assert first == again
+    assert [code for code, _, _ in first] == [0, 0]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_complexity_cap_flag(capsys):
     # graph_sum's built-in chain length cap is 8: 10/9 expands to 9 digits, 9/8 to 8
     code, out, err = run_cli(

@@ -370,6 +370,25 @@ def test_column_routes_stay_linear_in_memory():
         sl2_datum.cache_clear()  # the large levels are not worth keeping
 
 
+def test_wide_fiber_routes_stay_bounded_in_memory():
+    """One fiber of order 10007 at r = 100: cs11 held its whole
+    (r - 1) x 2 alpha phase grid (67 MB traced), and an unblocked Gauss
+    column takes (r - 1) x 2 alpha phases too (111 MB).  Both sum in
+    blocks, so each peaks far lower, and they still agree."""
+    data = parse_seifert("o;g=0;b=-1;10007/1")
+    results = []
+    for run in (tau_compact, tau_cs11):
+        tracemalloc.start()
+        try:
+            results.append(run(100, data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, (run.__name__, peak)
+    a, b = results
+    assert abs(a.value - b.value) <= a.tolerance_estimate + b.tolerance_estimate
+
+
 def test_generic_long_chain_stays_finite():
     """2/2001 expands, as given, into a 1001-digit minus chain, so D^-1001
     overflowed; the chain kernel scales each digit by 1/D instead."""

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seifert_rt.modular import (
@@ -27,7 +27,7 @@ from seifert_rt.modular import (
     sl2_datum,
     w_phase,
 )
-from seifert_rt.sl2z import IDENTITY, SL2Z, XI, b_matrix, theta_power
+from seifert_rt.sl2z import IDENTITY, SL2Z, XI, b_matrix, rademacher_phi, sign, theta_power
 
 
 def toy_datum(n=3, dual=(0, 2, 1), eps=(1, None, None)):
@@ -180,9 +180,9 @@ def test_g_matrix_column_matches_full_chain(word, r, label):
 
 
 @st.composite
-def sl2z_lower_nonzero(draw):
-    """Any SL(2, Z) element with c != 0 and entries up to 60 or so."""
-    c = draw(st.integers(-60, 60).filter(bool))
+def sl2z_lower_nonzero(draw, c_max=60):
+    """Any SL(2, Z) element with 0 < |c| <= c_max and a up to 60 or so."""
+    c = draw(st.integers(-c_max, c_max).filter(bool))
     a = draw(st.integers(-60, 60).filter(lambda x: math.gcd(x, c) == 1))
     # a d - b c = 1: d is an inverse of a mod |c| (any d when |c| = 1)
     d = pow(a, -1, abs(c)) + abs(c) * draw(st.integers(-2, 2))
@@ -198,6 +198,41 @@ def test_gauss_columns_match_full_matrix(mat, r, cols):
     part = r_rep_gauss(mat, r, picked)
     assert part.shape == (r - 1, len(picked))
     assert np.max(np.abs(part - full[:, picked])) <= 1e-13
+
+
+def gauss_loop(mat, r, columns):
+    """Reference: those columns of the Gauss sum, one shift
+    g = j + 2 r n mu at a time, with the sign mu a factor of each term."""
+    c = mat.c
+    phi = (rademacher_phi(mat) + 4) % 8 - 4
+    jj = np.arange(1, r, dtype=np.int64)
+    kk = jj[list(columns)]
+    mod = 4 * r * abs(c)
+    a, d = mat.a % mod, mat.d % mod
+    dkk = d * kk % mod * kk % mod
+    total = np.zeros((r - 1, len(kk)), dtype=complex)
+    for mu in (1, -1):
+        for n in range(abs(c)):
+            g = jj + 2 * r * n * mu
+            num = (a * g % mod * g % mod)[:, None] - 2 * mu * np.outer(g, kk) + dkk[None, :]
+            total += mu * np.exp((1j * math.pi / (2 * r * c)) * (num % mod))
+    pref = 1j * sign(c) / math.sqrt(2 * r * abs(c)) * cmath.exp(-1j * math.pi * phi / 4)
+    return pref * total
+
+
+@given(
+    mat=sl2z_lower_nonzero(c_max=1500),
+    r=st.integers(2, 40),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+)
+# 2 |c| (r - 1) = 116922 phases: eight blocks
+@example(mat=SL2Z(2, 1, 1499, 750), r=40, picks=[0, 17, 38])
+@settings(max_examples=60, deadline=None)
+def test_gauss_blocks_match_shift_loop(mat, r, picks):
+    """The blocked kernel matches the per-shift loop on any columns,
+    including |c| whose shifts span several blocks."""
+    picked = [p % (r - 1) for p in picks]
+    assert np.max(np.abs(r_rep_gauss(mat, r, picked) - gauss_loop(mat, r, picked))) <= 1e-13
 
 
 # --------------------------------------------------------- representation
