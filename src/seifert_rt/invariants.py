@@ -13,6 +13,16 @@ deliberately separate so they cross-check each other:
   tau_section5   chain decomposition with explicit framing bookkeeping
                  (orientable base)
 
+Each route runs in two stages.  Its exact stage, a private _<route>_exact
+function of the presentation alone (plus cf_style where the route reads
+it, and graph_sum's chain cap), does the exact number theory: chain
+digits, the Euler number, Dedekind sums, Rademacher phi, signatures.  It
+runs once per presentation: functools.lru_cache(maxsize=1) keeps the
+last result, which holds only what the numeric stage reads.  The numeric
+stage, the tau_* body, runs once per level on that result.  compact keys
+its exact stage on the pairs centered mod 4 r alpha, since that
+reduction depends on r.  No exact stage is shared between routes.
+
 ROUTES names the five, in this order, each with an adapter
 run(r, datum, data) that takes the level r, a loaded datum or None, and
 the presentation.  generic, graph_sum and section5 read a datum, the
@@ -30,6 +40,7 @@ index j - 1), and t = exp(i pi / 2r).
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -55,7 +66,7 @@ from .seifert import (
 )
 from .sl2z import (
     SL2Z,
-    ConvergentTable,
+    cf_digits,
     cf_expand,
     convergents,
     dedekind_sum,
@@ -70,6 +81,11 @@ from .sl2z import (
 # phases per block of a cs11 fiber sum, (mu, m) terms times the r - 1 values
 # of gamma: bounds its memory whatever alpha
 CS11_BLOCK = 2**14
+# digits of all of tau_generic's chains together: each costs a convergent
+# matrix once and a product with S per level.  At the cap that is about 0.14 s
+# and 3 MB once, then 0.1-0.2 s per level up to r = 200 on a 2-core x86 VM;
+# 2/2000001 alone has 1000001 digits
+GENERIC_CHAIN_CAP = 10_000
 
 
 class ComplexityCap(RuntimeError):
@@ -131,6 +147,29 @@ def _eps_weight(datum: ModularDatum, genus: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _generic_exact(
+    data: SeifertData, cf_style: str
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Exact stage of tau_generic: the chain digits of each non-trivial
+    pair and the framing exponent sigma.
+
+    The digits are taken one at a time; ComplexityCap as soon as all
+    chains together pass GENERIC_CHAIN_CAP digits.
+    """
+    chains = []
+    room = GENERIC_CHAIN_CAP
+    for a, b in _drop_trivial(data.pairs):
+        # cf_digits gives the digits last first; one past the room passes the cap
+        digits = tuple(itertools.islice(cf_digits(a, b, cf_style), room + 1))
+        room -= len(digits)
+        if room < 0:
+            raise ComplexityCap(f"generic chain length exceeds cap {GENERIC_CHAIN_CAP}")
+        chains.append(digits[::-1])
+    tables = [convergents(c) for c in chains]
+    return tuple(chains), sigma_closed_form(data.base, sign(euler_number(data)), tables)
+
+
 def tau_generic(
     datum: ModularDatum, data: SeifertData, cf_style: str = "minus"
 ) -> InvariantResult:
@@ -140,21 +179,19 @@ def tau_generic(
     applies it to the unit label e_0 (O(m n^2) for m digits and n
     labels), multiplies the columns S G^{chain} e_0, and weights labels by
     quantum dimensions, twists of the central framing, and (for a
-    non-orientable base) cross-cap signs on self-dual labels.
+    non-orientable base) cross-cap signs on self-dual labels.  At most
+    GENERIC_CHAIN_CAP digits in all (ComplexityCap beyond).
     """
-    pairs = _drop_trivial(data.pairs)
-    n = len(pairs)
+    chains, sigma = _generic_exact(data, cf_style)
+    n = len(chains)
+    mtot = sum(map(len, chains))
     g = data.genus
     orientable = data.base == "o"
-    e = euler_number(data)
-    tables = [convergents(cf_expand(a, b, cf_style)) for a, b in pairs]
-    mtot = sum(len(t.entries) for t in tables)
-    sigma = sigma_closed_form(data.base, sign(e), tables)
     nl = datum.n_labels
     e0 = np.eye(1, nl, dtype=complex)[0]
     col = np.ones(nl, dtype=complex)
-    for t in tables:
-        col *= datum.S @ g_matrix(datum, t.entries, e0)
+    for digits in chains:
+        col *= datum.S @ g_matrix(datum, digits, e0)
     aeg = 2 * g if orientable else g
     if orientable:
         lab = datum.dims ** (2 - n - aeg)
@@ -169,6 +206,23 @@ def tau_generic(
     )
     r = datum.n_labels + 1
     return InvariantResult(complex(val), r, "generic", sigma, _tol(r, mtot + n))
+
+
+@functools.lru_cache(maxsize=1)
+def _cs11_exact(data: SeifertData) -> tuple[Fraction, int, int, Fraction, tuple[int, ...]]:
+    """Exact stage of tau_cs11: the Euler number e, sign(e), A = prod
+    alpha_j, the Dedekind phase x and each fiber's inverse bstar of beta
+    mod alpha."""
+    ae = 2 if data.base == "o" else 1
+    e = euler_number(data)
+    es = sign(e)
+    A = math.prod(alpha for alpha, _ in data.pairs)
+    dsum = Fraction(0)
+    for alpha, beta in data.pairs:
+        dsum += dedekind_sum(beta, alpha)
+    x = Fraction(3 * (ae - 1) * es) - e - 12 * dsum
+    bstars = tuple(0 if a == 1 else pow(beta % a, -1, a) for a, beta in data.pairs)
+    return e, es, A, x, bstars
 
 
 def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
@@ -188,14 +242,7 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     g = data.genus
     ae = 2 if data.base == "o" else 1
     aeg = ae * g
-    e = euler_number(data)
-    es = sign(e)
-    A = math.prod(alpha for alpha, _ in pairs)
-    dsum = Fraction(0)
-    for alpha, beta in pairs:
-        dsum += dedekind_sum(beta, alpha)
-
-    x = Fraction(3 * (ae - 1) * es) - e - 12 * dsum
+    e, es, A, x, bstars = _cs11_exact(data)
     pref = cmath.exp(1j * math.pi * float(x % (4 * r)) / (2 * r))
     pref *= (-1) ** aeg * 1j**n * r ** (aeg / 2 - 1) / 2 ** (n + aeg / 2 - 1)
     pref /= math.sqrt(A)
@@ -207,8 +254,7 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     gam = np.arange(1, r, dtype=np.int64)
     W = np.ones(r - 1, dtype=complex)
     rows = max(1, CS11_BLOCK // (r - 1))
-    for alpha, beta in pairs:
-        bstar = 0 if alpha == 1 else pow(beta % alpha, -1, alpha)
+    for (alpha, _), bstar in zip(pairs, bstars):
         mod = 2 * r * alpha
         if r * mod >= 2**63:
             raise OverflowError(f"int64 phase overflow at r = {r}, alpha = {alpha}")
@@ -236,6 +282,22 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     return InvariantResult(complex(val), r, "cs11", None, _tol(r, 2**n * A))
 
 
+@functools.lru_cache(maxsize=1)
+def _compact_exact(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[SL2Z, ...], int]:
+    """Exact stage of tau_compact on its centered pairs: each pair's
+    matrix N and the sum of their Rademacher phis."""
+    mats = []
+    phis = 0
+    for alpha, beta in pairs:
+        _, xg, yg = ext_gcd(alpha, beta)
+        # alpha sig0 - beta rho0 = 1
+        sig0, rho0 = xg, -yg
+        N = SL2Z(-beta, -sig0, alpha, rho0)
+        phis += rademacher_phi(N)
+        mats.append(N)
+    return tuple(mats), phis
+
+
 def tau_compact(r: int, data: SeifertData) -> InvariantResult:
     """Gauss-sum product evaluation, sl2 datum only, no continued fractions.
 
@@ -253,18 +315,16 @@ def tau_compact(r: int, data: SeifertData) -> InvariantResult:
     e = euler_number(data)
     es = sign(e)
     w = w_phase(r)
-    phis = 0
+    # the value has period 4 r alpha in beta at fixed sign(e), which is read
+    # from the data as given: the centered residue makes it exactly periodic
+    # and keeps phis, the exponent of w, small.  It depends on r, so the exact
+    # stage is keyed on the centered pairs
+    centered = tuple(
+        (alpha, (beta + 2 * r * alpha) % (4 * r * alpha) - 2 * r * alpha) for alpha, beta in pairs
+    )
+    mats, phis = _compact_exact(centered)
     cols = np.ones(r - 1, dtype=complex)
-    for alpha, beta in pairs:
-        # the value has period 4 r alpha in beta at fixed sign(e), which is read
-        # from the data as given: the centered residue makes it exactly
-        # periodic and keeps phis, the exponent of w, small
-        beta = (beta + 2 * r * alpha) % (4 * r * alpha) - 2 * r * alpha
-        _, xg, yg = ext_gcd(alpha, beta)
-        # alpha sig0 - beta rho0 = 1
-        sig0, rho0 = xg, -yg
-        N = SL2Z(-beta, -sig0, alpha, rho0)
-        phis += rademacher_phi(N)
+    for N in mats:
         cols = cols * r_rep_gauss(N, r, (0,))[:, 0]
     j = np.arange(1, r)
     xi1 = np.sqrt(2.0 / r) * np.sin(np.pi * j / r)
@@ -280,6 +340,27 @@ def tau_compact(r: int, data: SeifertData) -> InvariantResult:
     )
     val = pref * np.sum(summand)
     return InvariantResult(complex(val), r, "compact", None, _tol(r, n * r))
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_sum_exact(
+    data: SeifertData, cf_style: str, chain_cap: int
+) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
+    """Exact stage of tau_graph_sum, from the normalized presentation:
+    its genus, the negated plumbing block B, the signature of B and the
+    exponent of D.  ComplexityCap past chain_cap digits, before B is built.
+    """
+    mm = normalize(data)
+    cfs = [cf_expand(a, b, cf_style) for a, b in mm.pairs]
+    total_len = sum(len(c) for c in cfs)
+    if total_len > chain_cap:
+        raise ComplexityCap(f"chain length {total_len} exceeds cap {chain_cap}")
+    mtot = 1 + total_len
+    full = linking_matrix(mm, cfs)
+    head = 2 * mm.genus
+    B = tuple(tuple(-full[head + i][head + j] for j in range(mtot)) for i in range(mtot))
+    sig, nul = signature_exact(B)
+    return mm.genus, B, sig, first_betti(mm) - 1 - mtot - nul - sig
 
 
 def tau_graph_sum(
@@ -299,25 +380,14 @@ def tau_graph_sum(
     """
     if data.base != "o":
         raise Unsupported("graph state sum needs an orientable base")
-    mm = normalize(data)
-    g = mm.genus
-    cfs = [cf_expand(a, b, cf_style) for a, b in mm.pairs]
-    total_len = sum(len(c) for c in cfs)
+    g, B, sig, bexp = _graph_sum_exact(data, cf_style, chain_cap)
     r = datum.n_labels + 1
-    if total_len > chain_cap:
-        raise ComplexityCap(f"chain length {total_len} exceeds cap {chain_cap}")
     if r > r_cap:
         raise ComplexityCap(f"level r = {r} exceeds cap {r_cap}")
-    mtot = 1 + total_len
+    mtot = len(B)
     nl = datum.n_labels
     if nl**mtot > max_terms:
         raise ComplexityCap(f"{nl}^{mtot} terms exceed cap {max_terms}")
-
-    full = linking_matrix(mm, cfs)
-    head = 2 * g
-    B = [[-full[head + i][head + j] for j in range(mtot)] for i in range(mtot)]
-    sig, nul = signature_exact(B)
-    bexp = first_betti(mm) - 1 - mtot - nul - sig
 
     mir = mirror_datum(datum)
     genera = [g] + [0] * (mtot - 1)
@@ -348,6 +418,36 @@ def tau_graph_sum(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _section5_exact(
+    data: SeifertData, cf_style: str
+) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """Exact stage of tau_section5, from the normalized presentation: its
+    genus, the chain digits of each pair followed by the central framing
+    chain (-b, 0) when b is nonzero, and the framing exponent.  No chains
+    when b = 0 and there are no pairs.
+    """
+    mm = normalize(data)
+    b = mm.b
+    n = len(mm.pairs)
+    if b == 0 and n == 0:
+        return mm.genus, (), 0
+
+    def defect(entries: tuple[int, ...]) -> int:
+        num = sum(entries) - rademacher_phi(convergents(entries).final)
+        if num % 3 != 0:
+            raise ArithmeticError(f"framing defect not divisible by 3 for {entries}")
+        return num // 3
+
+    chains = [cf_expand(a, bt, cf_style) for a, bt in mm.pairs]
+    if b != 0:
+        chains.append((-b, 0))
+        mu = n - 1 - sign(b) * sign(euler_number(mm))
+    else:
+        mu = n - 1
+    return mm.genus, tuple(chains), mu + sum(map(defect, chains))
+
+
 def tau_section5(
     datum: ModularDatum, data: SeifertData, cf_style: str = "minus"
 ) -> InvariantResult:
@@ -360,46 +460,19 @@ def tau_section5(
     """
     if data.base != "o":
         raise Unsupported("chain decomposition needs an orientable base")
-    mm = normalize(data)
-    g = mm.genus
-    b = mm.b
-    pairs = mm.pairs
-    n = len(pairs)
-    e = euler_number(mm)
-    es = sign(e)
-    sb = sign(b)
+    g, chains, expo = _section5_exact(data, cf_style)
     nl = datum.n_labels
     r = nl + 1
 
-    if b == 0 and n == 0:
+    if not chains:
         val = datum.D ** (2 * g - 2) * np.sum(datum.dims ** (2 - 2 * g))
         return InvariantResult(complex(val), r, "section5", 0, _tol(r, 1))
 
-    def defect(table: ConvergentTable) -> int:
-        num = sum(table.entries) - rademacher_phi(table.final)
-        if num % 3 != 0:
-            raise ArithmeticError(
-                f"framing defect not divisible by 3 for {table.entries}"
-            )
-        return num // 3
-
-    tables = [convergents(cf_expand(a, bt, cf_style)) for a, bt in pairs]
-    cs = [defect(t) for t in tables]
     # each chain applied to the unit label, its digits scaled by 1/D
     e0 = np.eye(1, nl, dtype=complex)[0]
-    cols = [datum.S @ g_matrix(datum, t.entries, e0) for t in tables]
-    mtot = sum(len(t.entries) for t in tables)
-    if b != 0:
-        extra = convergents((-b, 0))
-        cs.append(defect(extra))
-        cols.append(datum.S @ g_matrix(datum, extra.entries, e0))
-        mtot += 2
-        n_comp = n + 1
-        mu = n - 1 - sb * es
-    else:
-        n_comp = n
-        mu = n - 1
-    expo = mu + sum(cs)
+    cols = [datum.S @ g_matrix(datum, digits, e0) for digits in chains]
+    mtot = sum(map(len, chains))
+    n_comp = len(chains)
     prod = np.ones(nl, dtype=complex)
     for c in cols:
         prod *= c

@@ -7,7 +7,10 @@ links produce, and an exact congruence reduction computing the signature
 and nullity of any symmetric rational matrix.
 
 Everything runs on int and Fraction; the only floating point is the
-cotangent-sum cross-check for Dedekind sums.
+cotangent-sum cross-check for Dedekind sums.  Dedekind sums are
+integer-exact: the reciprocity recursion runs on int over one common
+denominator 12 q, and the Rademacher function reads that integer
+without forming a Fraction.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .seifert import SeifertData
@@ -95,21 +98,29 @@ def cf_expand(p: int, q: int, style: str = "minus") -> tuple[int, ...]:
     expansion, inner digits have absolute value >= 2 when |p/q| > 1),
     "euclidean" takes floor quotients.
     """
+    return tuple(cf_digits(p, q, style))[::-1]
+
+
+def cf_digits(p: int, q: int, style: str = "minus") -> Iterator[int]:
+    """The digits of cf_expand(p, q, style) one at a time, last first.
+
+    A caller that caps the length stops taking digits: a "minus"
+    expansion can have about |p| + |q| of them (2/2000001 has 1000001).
+    The arguments are checked when the first digit is taken.
+    """
     if q == 0:
         raise ValueError(f"{p}/{q} has zero denominator")
     if math.gcd(p, q) != 1:
         raise ValueError(f"{p}/{q} is not reduced")
     if style not in CF_STYLES:
         raise ValueError(f"style must be one of {CF_STYLES}, got {style!r}")
-    digits = []
     while q != 0:
         if style == "minus":
             a = -((-p) // q)
         else:
             a = p // q
-        digits.append(a)
+        yield a
         p, q = q, a * q - p
-    return tuple(reversed(digits))
 
 
 def b_matrix(entries: Sequence[int]) -> SL2Z:
@@ -149,21 +160,41 @@ def dedekind_sum(s: int, q: int) -> Fraction:
     """Dedekind sum of s mod q, exact, via the reciprocity recursion.
 
     Odd in s, zero for q = 1, and equal to the classical cotangent sum
-    (see dedekind_sum_cotangent) on coprime arguments.
+    (see dedekind_sum_cotangent) on coprime arguments.  Computed in
+    integers (see _dedekind_12q), one Fraction at the end.
+    """
+    return Fraction(_dedekind_12q(s, q), 12 * q)
+
+
+def _dedekind_12q(s: int, q: int) -> int:
+    """12 q s(s, q), an integer, from the reciprocity recursion.
+
+    The recursion sums (h^2 + k^2 + 1) / 12 h k - 1/4 with alternating
+    signs over the Euclidean remainders k = a h + h' of (q, s), ending
+    at h = 1.  There k / h + h / k telescopes to the quotients a and s / q,
+    and 1 / h k to y / q, where y s = 1 mod q is the last Bezout
+    coefficient of the remainder 1 (Knuth, Acta Arith. 33, 1977):
+    12 q s(s, q) = q (a_0 - a_1 + ...) + s + y - 3 q [odd step count].
     """
     if q <= 0:
         raise ValueError(f"modulus must be positive, got {q}")
     s %= q
     if math.gcd(s, q) != 1:
         raise ValueError(f"{s} and {q} are not coprime")
-    total = Fraction(0)
+    if s == 0:
+        return 0
+    quotients = 0
     sgn = 1
     h, k = s, q
+    # Bezout coefficients of k and h: each remainder is y s mod q
+    y_k, y_h = 0, 1
     while h > 0:
-        total += sgn * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
-        h, k = k % h, h
+        a = k // h
+        quotients += sgn * a
+        h, k = k - a * h, h
+        y_k, y_h = y_h, y_k - a * y_h
         sgn = -sgn
-    return total
+    return q * quotients + s + y_k - (3 * q if sgn < 0 else 0)
 
 
 def dedekind_sum_cotangent(s: int, q: int) -> float:
@@ -187,19 +218,21 @@ def rademacher_phi(mat: SL2Z) -> int:
     """Rademacher function, always an integer on SL(2, Z).
 
     For [[a, b], [c, d]]: b/d when c = 0, otherwise
-    (a + d)/c - 12 sign(c) times the Dedekind sum of d mod |c|.
+    (a + d)/c - 12 sign(c) times the Dedekind sum of d mod |c|, that is
+    ((a + d) - 12 |c| s(d, |c|)) / c, formed in integers.
     Satisfies phi(-A) = phi(A) and the three-term cocycle relation
     phi(A1 A2) = phi(A1) + phi(A2) - 3 sign(c1 c2 c3).
     """
     if mat.c == 0:
-        val = Fraction(mat.b, mat.d)
+        num, den = mat.b, mat.d
     else:
-        val = Fraction(mat.a + mat.d, mat.c) - 12 * sign(mat.c) * dedekind_sum(
-            mat.d, abs(mat.c)
+        num, den = mat.a + mat.d - _dedekind_12q(mat.d, abs(mat.c)), mat.c
+    val, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(
+            f"non-integral Rademacher value {Fraction(num, den)} at {mat.rows()}"
         )
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integral Rademacher value {val} at {mat.rows()}")
-    return int(val)
+    return val
 
 
 def sigma_closed_form(

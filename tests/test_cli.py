@@ -14,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -220,6 +221,68 @@ def test_complexity_cap_flag(capsys):
     assert [row["method"] for row in rows] == list(ROUTES)
     values = [complex(row["re"], row["im"]) for row in rows]
     assert max(abs(a - b) for a in values for b in values) < 5e-15
+
+
+def test_generic_chain_cap_exits_3_fast(capsys):
+    # 2/2000001 expands, as given, into 1000001 digits; generic refuses it
+    # while expanding, and auto prints the four other routes
+    long_chain = "nn:o;g=0;2/2000001"
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["compute", long_chain, "--r", "5", "--method", "generic"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == f"error: generic chain length exceeds cap {invariants.GENERIC_CHAIN_CAP}\n"
+    code, out, _ = run_cli(capsys, ["compute", long_chain, "--r", "5", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["method"] for row in rows] == [m for m in ROUTES if m != "generic"]
+    assert max(abs(row["re"] - 0.371748034460184) for row in rows) < 1e-9
+
+
+EXACT_FUNCTIONS = ("dedekind_sum", "convergents", "signature_exact")
+
+
+@pytest.mark.parametrize("presentation", [POINCARE, "nn:o;g=1;3/-7,5/11,1/4"])
+def test_exact_work_runs_once_per_presentation(capsys, monkeypatch, presentation):
+    """The exact number theory of every route runs once per presentation:
+    four levels and thirty-eight make the same calls, counted at every
+    name that binds the functions."""
+    counts = dict.fromkeys(EXACT_FUNCTIONS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "seifert_rt"]
+    for name in EXACT_FUNCTIONS:
+        fn = getattr(seifert_rt.sl2z, name)
+        wrapper = counted(name, fn)
+        for mod in modules:
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+    def calls(levels):
+        for stage in (
+            invariants._generic_exact,
+            invariants._cs11_exact,
+            invariants._compact_exact,
+            invariants._graph_sum_exact,
+            invariants._section5_exact,
+        ):
+            stage.cache_clear()
+        counts.update(dict.fromkeys(counts, 0))
+        code, _, _ = run_cli(capsys, ["compute", presentation, "--r", levels])
+        assert code == 0
+        return dict(counts)
+
+    few = calls("3..6")
+    assert all(few.values()), few
+    assert calls("3..40") == few
 
 
 def test_auto_graph_sum_within_caps(capsys):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from seifert_rt import invariants
 from seifert_rt.invariants import (
     ComplexityCap,
     InvariantResult,
@@ -492,6 +493,101 @@ def test_graph_sum_caps():
         tau_graph_sum(sl2_datum(12), S3_PLUS, r_cap=10)
     with pytest.raises(ComplexityCap):
         tau_graph_sum(d, POINCARE, max_terms=10)
+
+
+def test_generic_chain_cap_counts_digits_as_given():
+    # 2/(2n - 1) has n minus digits; the cap is on all chains together, and
+    # generic does not normalize, so 2/20001 is refused though 2/1 would do
+    cap = invariants.GENERIC_CHAIN_CAP
+    d = sl2_datum(3)
+    at_cap = SeifertData("o", 0, None, ((2, 2 * (cap - 4000) - 1), (2, 2 * 4000 - 1)))
+    res, ref = tau_generic(d, at_cap), tau_cs11(3, at_cap)
+    assert abs(res.value - ref.value) <= res.tolerance_estimate + ref.tolerance_estimate
+    for pairs in (((2, 2 * (cap - 4000) - 1), (2, 2 * 4001 - 1)), ((2, 2 * cap + 1),)):
+        with pytest.raises(ComplexityCap, match=f"generic chain length exceeds cap {cap}"):
+            tau_generic(d, SeifertData("o", 0, None, pairs))
+
+
+EXACT_STAGES = (
+    invariants._generic_exact,
+    invariants._cs11_exact,
+    invariants._compact_exact,
+    invariants._graph_sum_exact,
+    invariants._section5_exact,
+)
+# 2/25 centers to 2/1 at r = 3, 2/-7 at r = 4 and 2/25 from r = 7 on
+WARM_CASES = [
+    "o;g=0;b=-1;2/1,3/1,5/1",
+    "nn:o;g=0;2/25,3/-4",
+    "nn:n;g=1;3/-7,5/11",
+    "o;g=1;b=2;7/3,5/2",
+    "o;g=0;b=0;",
+]
+WARM_LEVELS = (3, 4, 7, 11)
+
+
+LEVEL_ROUTES = {"cs11": tau_cs11, "compact": tau_compact}
+DATUM_ROUTES = {"generic": tau_generic, "graph_sum": tau_graph_sum, "section5": tau_section5}
+
+
+def _route_call(route, text, r, style):
+    """One route at level r as a bit pattern, or the refusal it raises."""
+    data = parse_seifert(text)
+    try:
+        if route in LEVEL_ROUTES:
+            res = LEVEL_ROUTES[route](r, data)
+        else:
+            res = DATUM_ROUTES[route](sl2_datum(r), data, style)
+    except (ComplexityCap, Unsupported) as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        res.value.real.hex(),
+        res.value.imag.hex(),
+        res.sigma_used,
+        res.tolerance_estimate.hex(),
+    )
+
+
+WARM_CALLS = [
+    (route, text, r, style)
+    for route, styles in [
+        ("generic", ("minus", "euclidean")),
+        ("cs11", ("minus",)),
+        ("compact", ("minus",)),
+        ("graph_sum", ("minus", "euclidean")),
+        ("section5", ("minus", "euclidean")),
+    ]
+    for style in styles
+    for text in WARM_CASES
+    for r in WARM_LEVELS
+]
+
+
+def _cold(call):
+    for stage in EXACT_STAGES:
+        stage.cache_clear()
+    return _route_call(*call)
+
+
+def test_warm_case_list_covers_its_claims():
+    """The compact pair changes its centered residue between levels, and
+    graph_sum both refuses and evaluates the same presentation."""
+    centered = {(25 + 4 * r) % (8 * r) - 4 * r for r in WARM_LEVELS}
+    assert centered == {1, -7, 25}
+    graph = [_cold(("graph_sum", WARM_CASES[0], r, "minus")) for r in WARM_LEVELS]
+    assert graph[-1][0] == "ComplexityCap" and graph[0][0] != "ComplexityCap"
+
+
+@given(order=st.permutations(WARM_CALLS))
+@settings(max_examples=10, deadline=None)
+def test_warm_exact_stages_give_bit_identical_values(order):
+    """Each call, evaluated in a shuffled interleaving with warm exact
+    stages, equals bit for bit the same call with every stage cold."""
+    cold = {call: _cold(call) for call in WARM_CALLS}
+    # the shuffled order, then the same calls grouped by presentation, so
+    # that both misses and hits of each one-entry cache occur
+    for call in order + sorted(order, key=lambda c: (c[1], c[0], c[3], c[2])):
+        assert _route_call(*call) == cold[call], call
 
 
 def test_nonorientable_base_unsupported_routes():

@@ -3,6 +3,7 @@ sums, the Rademacher function, linking matrices and exact signatures."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from seifert_rt.sl2z import (
     ConvergentTable,
     SL2Z,
     b_matrix,
+    cf_digits,
     cf_expand,
     convergents,
     dedekind_sum,
@@ -90,6 +92,14 @@ def test_cf_expand_errors():
         cf_expand(3, 2, "nearest")
 
 
+def test_cf_digits_are_lazy():
+    # 2/(2n - 1) has n minus digits, last first 1, 2, 2, ...; taking five of
+    # a 10^12-digit expansion must not build it
+    assert tuple(itertools.islice(cf_digits(2, 2 * 10**12 - 1), 5)) == (1, 2, 2, 2, 2)
+    with pytest.raises(ValueError, match="6/4 is not reduced"):
+        next(cf_digits(6, 4))
+
+
 def test_convergents_frozen():
     table = convergents((3, 2, 2))
     assert table.entries == (3, 2, 2)
@@ -107,6 +117,11 @@ def test_b_matrix_frozen():
 coprime_pq = st.tuples(
     st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=60)
 ).filter(lambda t: math.gcd(t[0], t[1]) == 1)
+
+
+@given(pq=coprime_pq, style=st.sampled_from(CF_STYLES))
+def test_cf_digits_reverse_cf_expand(pq, style):
+    assert tuple(cf_digits(*pq, style)) == cf_expand(*pq, style)[::-1]
 
 
 @given(pq=coprime_pq, style=st.sampled_from(CF_STYLES))
@@ -189,6 +204,46 @@ def test_dedekind_cotangent_agreement(sq):
     exact = dedekind_sum(s, q)
     approx = dedekind_sum_cotangent(s, q)
     assert abs(float(exact) - approx) < 1e-9
+
+
+def dedekind_recursion(s: int, q: int) -> Fraction:
+    """The reciprocity recursion in Fraction, one term per Euclidean step:
+    the reference for the integer dedekind_sum."""
+    s %= q
+    total = Fraction(0)
+    sgn = 1
+    h, k = s, q
+    while h > 0:
+        total += sgn * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        h, k = k % h, h
+        sgn = -sgn
+    return total
+
+
+@st.composite
+def coprime_wide(draw):
+    q = draw(st.integers(min_value=1, max_value=10**30))
+    s = draw(st.integers(min_value=-(10**30), max_value=10**30))
+    assume(math.gcd(s, q) == 1)
+    return s, q
+
+
+@given(sq=st.one_of(coprime_sq, coprime_wide()))
+@settings(max_examples=300)
+def test_dedekind_matches_fraction_recursion(sq):
+    s, q = sq
+    assert dedekind_sum(s, q) == dedekind_recursion(s, q)
+
+
+@given(word=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8))
+def test_rademacher_matches_fraction_formula(word):
+    """phi in integers equals (a + d)/c - 12 sign(c) s(d, |c|) in Fraction."""
+    m = b_matrix(tuple(word))
+    if m.c == 0:
+        want = Fraction(m.b, m.d)
+    else:
+        want = Fraction(m.a + m.d, m.c) - 12 * sign(m.c) * dedekind_recursion(m.d, abs(m.c))
+    assert rademacher_phi(m) == want
 
 
 def test_rademacher_frozen():
