@@ -15,13 +15,15 @@ deliberately separate so they cross-check each other:
 
 Each route runs in two stages.  Its exact stage, a private _<route>_exact
 function of the presentation alone (plus cf_style where the route reads
-it, and graph_sum's chain cap), does the exact number theory: chain
-digits, the Euler number, Dedekind sums, Rademacher phi, signatures.  It
-runs once per presentation: functools.lru_cache(maxsize=1) keeps the
-last result, which holds only what the numeric stage reads.  The numeric
-stage, the tau_* body, runs once per level on that result.  compact keys
-its exact stage on the pairs centered mod 4 r alpha, since that
-reduction depends on r.  No exact stage is shared between routes.
+it), does the exact number theory: chain digits, the Euler number,
+Dedekind sums, Rademacher phi, signatures.  It runs once per
+presentation: functools.lru_cache(maxsize=1) keeps the last result,
+which holds only what the numeric stage reads.  The numeric stage, the
+tau_* body, runs once per level on that result.  compact keys its exact
+stage on the pairs centered mod 4 r alpha, since that reduction depends
+on r.  graph_sum splits its exact stage in two, its chains (with its
+chain cap) and then, once its level and term caps pass, the plumbing
+block.  No exact stage is shared between routes.
 
 ROUTES names the five, in this order, each with an adapter
 run(r, datum, data) that takes the level r, a loaded datum or None, and
@@ -78,14 +80,14 @@ from .sl2z import (
     signature_exact,
 )
 
-# phases per block of a cs11 fiber sum, (mu, m) terms times the r - 1 values
-# of gamma: bounds its memory whatever alpha
+# phases per block of a cs11 fiber's Gauss sums at the points, m terms times
+# the 2 (r - 1) points (gamma, mu): bounds its memory whatever alpha
 CS11_BLOCK = 2**14
-# digits of all of tau_generic's chains together: each costs a convergent
-# matrix once and a product with S per level.  At the cap that is about 0.14 s
-# and 3 MB once, then 0.1-0.2 s per level up to r = 200 on a 2-core x86 VM;
-# 2/2000001 alone has 1000001 digits
-GENERIC_CHAIN_CAP = 10_000
+# digits of all of a chain route's chains together (generic, section5): each
+# costs a convergent matrix once and a product with S per level.  At the cap
+# that is about 0.14 s and 3 MB once, then 0.1-0.2 s per level up to r = 200 on
+# a 2-core x86 VM; 2/2000001 alone has 1000001 digits
+CHAIN_CAP = 10_000
 
 
 class ComplexityCap(RuntimeError):
@@ -131,6 +133,23 @@ def _drop_trivial(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], 
     return tuple((a, b) for a, b in pairs if (a, b) != (1, 0))
 
 
+def _capped_chains(
+    route: str, pairs: tuple[tuple[int, int], ...], cf_style: str
+) -> list[tuple[int, ...]]:
+    """The chain digits of each pair, taken one at a time: ComplexityCap as
+    soon as all chains together pass CHAIN_CAP digits."""
+    chains = []
+    room = CHAIN_CAP
+    for a, b in pairs:
+        # cf_digits gives the digits last first; one past the room passes the cap
+        digits = tuple(itertools.islice(cf_digits(a, b, cf_style), room + 1))
+        room -= len(digits)
+        if room < 0:
+            raise ComplexityCap(f"{route} chain length exceeds cap {CHAIN_CAP}")
+        chains.append(digits[::-1])
+    return chains
+
+
 def _eps_weight(datum: ModularDatum, genus: int) -> np.ndarray:
     """eps^g on self-dual labels, 0 elsewhere; eps only needed for odd g."""
     nl = datum.n_labels
@@ -154,18 +173,9 @@ def _generic_exact(
     """Exact stage of tau_generic: the chain digits of each non-trivial
     pair and the framing exponent sigma.
 
-    The digits are taken one at a time; ComplexityCap as soon as all
-    chains together pass GENERIC_CHAIN_CAP digits.
+    At most CHAIN_CAP digits in all (ComplexityCap beyond).
     """
-    chains = []
-    room = GENERIC_CHAIN_CAP
-    for a, b in _drop_trivial(data.pairs):
-        # cf_digits gives the digits last first; one past the room passes the cap
-        digits = tuple(itertools.islice(cf_digits(a, b, cf_style), room + 1))
-        room -= len(digits)
-        if room < 0:
-            raise ComplexityCap(f"generic chain length exceeds cap {GENERIC_CHAIN_CAP}")
-        chains.append(digits[::-1])
+    chains = _capped_chains("generic", _drop_trivial(data.pairs), cf_style)
     tables = [convergents(c) for c in chains]
     return tuple(chains), sigma_closed_form(data.base, sign(euler_number(data)), tables)
 
@@ -180,7 +190,7 @@ def tau_generic(
     labels), multiplies the columns S G^{chain} e_0, and weights labels by
     quantum dimensions, twists of the central framing, and (for a
     non-orientable base) cross-cap signs on self-dual labels.  At most
-    GENERIC_CHAIN_CAP digits in all (ComplexityCap beyond).
+    CHAIN_CAP digits in all (ComplexityCap beyond).
     """
     chains, sigma = _generic_exact(data, cf_style)
     n = len(chains)
@@ -231,11 +241,15 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     All phases are exact rational multiples of pi reduced in integer
     arithmetic before exponentiation; the only irrational inputs are the
     sine factors.  No matrices, no continued fractions.  The sum over
-    (mu, m) factors into one Gauss sum per fiber, so the work is
-    O(r sum 2 alpha_j).  Each fiber's (r - 1) x 2 alpha phase grid is
-    summed in blocks of at most CS11_BLOCK phases (one (mu, m) term when
-    r - 1 is larger), so memory is bounded by the block whatever alpha.
-    OverflowError when a phase passes int64.
+    (mu, m) factors into one sum per fiber, and splitting gamma out of each
+    phase leaves a Gauss sum G over m that depends on gamma + mu bstar mod
+    alpha only.  G is tabulated on all alpha residues when they are fewer
+    than the 2 (r - 1) points (gamma, mu), and summed at the points
+    otherwise, in blocks of at most CS11_BLOCK phases (one m when the
+    points or residues are more), so memory is bounded by the block
+    whatever alpha.  Work per fiber is O(r + alpha min(alpha, r))
+    exponentials, never more than the 2 alpha (r - 1) of the whole grid.
+    OverflowError when alpha^2 passes int64.
     """
     pairs = data.pairs
     n = len(pairs)
@@ -249,25 +263,37 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     pref *= cmath.exp(1j * 3 * math.pi * (1 - ae) * es / 4)
 
     # W(gamma) = prod_j sum_{mu, m} mu exp(i pi X_j / (r alpha_j)) with
-    # X_j = -gamma (2 r m + mu) - 2 r bstar (r m^2 + mu m) = gamma h + q, where
-    # h and q are reduced mod 2 r alpha_j in Python ints: gamma h + q < 2 r^2 alpha_j
+    # X_j = -gamma mu - 2 r ((gamma + mu bstar) m + bstar r m^2): the m sum is
+    # G(u) = sum_m exp(-2 pi i (u m + bstar r m^2) / alpha) at u = gamma + mu bstar
+    # mod alpha, and the fiber sum is h G(gamma + bstar) - conj(h) G(gamma - bstar)
+    # with h = exp(-i pi gamma / (r alpha)).  Every phase of G is a residue mod
+    # alpha, each product reduced, so no int64 intermediate reaches alpha^2
     gam = np.arange(1, r, dtype=np.int64)
     W = np.ones(r - 1, dtype=complex)
-    rows = max(1, CS11_BLOCK // (r - 1))
     for (alpha, _), bstar in zip(pairs, bstars):
-        mod = 2 * r * alpha
-        if r * mod >= 2**63:
+        if alpha * alpha >= 2**63:
             raise OverflowError(f"int64 phase overflow at r = {r}, alpha = {alpha}")
-        grid = (
-            (s, -(2 * r * m + s) % mod, -2 * r * bstar * (r * m * m + s * m) % mod)
-            for s in (1, -1)
-            for m in range(alpha)
-        )
-        fiber = np.zeros(r - 1, dtype=complex)
-        while terms := list(itertools.islice(grid, rows)):
-            mu, h, q = np.array(terms, dtype=np.int64).T
-            fiber += np.exp(1j * math.pi * ((gam[:, None] * h + q) % mod) / (r * alpha)) @ mu
-        W *= fiber
+        # G on all alpha residues when they are fewer than the 2 (r - 1) points,
+        # else at the points
+        table = alpha < 2 * (r - 1)
+        if table:
+            u = np.arange(alpha, dtype=np.int64)
+        else:
+            u = np.concatenate(((gam + bstar) % alpha, (gam - bstar) % alpha))
+        cq = bstar * r % alpha
+        step = max(1, CS11_BLOCK // len(u))
+        G = 0
+        for m0 in range(0, alpha, step):
+            m = np.arange(m0, min(m0 + step, alpha), dtype=np.int64)
+            # u m + cq m^2 = (u + cq m) m
+            ph = (u[:, None] + cq * m % alpha) % alpha * m % alpha
+            G = G + np.exp(-2j * math.pi / alpha * ph).sum(axis=1)
+        if table:
+            gp, gm = G.take(gam + bstar, mode="wrap"), G.take(gam - bstar, mode="wrap")
+        else:
+            gp, gm = G[: r - 1], G[r - 1 :]
+        h = np.exp(-1j * math.pi / (r * alpha) * gam)
+        W *= h * gp - h.conj() * gm
 
     sgn_g = np.where((gam * aeg) % 2 == 1, -1.0, 1.0)
     # exp(i pi e gam^2 / 2r) has period 2 den_e in the numerator of e, which
@@ -343,19 +369,26 @@ def tau_compact(r: int, data: SeifertData) -> InvariantResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _graph_sum_exact(
+def _graph_sum_chains(
     data: SeifertData, cf_style: str, chain_cap: int
-) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
-    """Exact stage of tau_graph_sum, from the normalized presentation:
-    its genus, the negated plumbing block B, the signature of B and the
-    exponent of D.  ComplexityCap past chain_cap digits, before B is built.
-    """
+) -> tuple[SeifertData, tuple[tuple[int, ...], ...]]:
+    """First exact stage of tau_graph_sum: the normalized presentation and
+    the chain of each of its pairs.  ComplexityCap past chain_cap digits."""
     mm = normalize(data)
-    cfs = [cf_expand(a, b, cf_style) for a, b in mm.pairs]
-    total_len = sum(len(c) for c in cfs)
+    cfs = tuple(cf_expand(a, b, cf_style) for a, b in mm.pairs)
+    total_len = sum(map(len, cfs))
     if total_len > chain_cap:
         raise ComplexityCap(f"chain length {total_len} exceeds cap {chain_cap}")
-    mtot = 1 + total_len
+    return mm, cfs
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_sum_exact(
+    mm: SeifertData, cfs: tuple[tuple[int, ...], ...]
+) -> tuple[int, tuple[tuple[int, ...], ...], int, int]:
+    """Second exact stage of tau_graph_sum, once the caps pass: the genus,
+    the negated plumbing block B, the signature of B and the exponent of D."""
+    mtot = 1 + sum(map(len, cfs))
     full = linking_matrix(mm, cfs)
     head = 2 * mm.genus
     B = tuple(tuple(-full[head + i][head + j] for j in range(mtot)) for i in range(mtot))
@@ -376,18 +409,20 @@ def tau_graph_sum(
     Normalizes the presentation, negates its plumbing block, and sums the
     mirror datum's graph weights over every label assignment.  Wholly
     independent of the chain algebra in the other routes, and guarded by
-    three complexity caps (total chain length, level, term count).
+    three complexity caps (total chain length, level, term count), all
+    checked in that order before the plumbing block is built.
     """
     if data.base != "o":
         raise Unsupported("graph state sum needs an orientable base")
-    g, B, sig, bexp = _graph_sum_exact(data, cf_style, chain_cap)
+    mm, cfs = _graph_sum_chains(data, cf_style, chain_cap)
     r = datum.n_labels + 1
     if r > r_cap:
         raise ComplexityCap(f"level r = {r} exceeds cap {r_cap}")
-    mtot = len(B)
+    mtot = 1 + sum(map(len, cfs))
     nl = datum.n_labels
     if nl**mtot > max_terms:
         raise ComplexityCap(f"{nl}^{mtot} terms exceed cap {max_terms}")
+    g, B, sig, bexp = _graph_sum_exact(mm, cfs)
 
     mir = mirror_datum(datum)
     genera = [g] + [0] * (mtot - 1)
@@ -425,7 +460,8 @@ def _section5_exact(
     """Exact stage of tau_section5, from the normalized presentation: its
     genus, the chain digits of each pair followed by the central framing
     chain (-b, 0) when b is nonzero, and the framing exponent.  No chains
-    when b = 0 and there are no pairs.
+    when b = 0 and there are no pairs.  At most CHAIN_CAP pair digits in
+    all (ComplexityCap beyond).
     """
     mm = normalize(data)
     b = mm.b
@@ -439,7 +475,7 @@ def _section5_exact(
             raise ArithmeticError(f"framing defect not divisible by 3 for {entries}")
         return num // 3
 
-    chains = [cf_expand(a, bt, cf_style) for a, bt in mm.pairs]
+    chains = _capped_chains("section5", mm.pairs, cf_style)
     if b != 0:
         chains.append((-b, 0))
         mu = n - 1 - sign(b) * sign(euler_number(mm))

@@ -215,16 +215,19 @@ def r_rep_gauss(
     """Representation matrix entrywise through a finite Gauss sum.
 
     Only the given columns (0-based, all by default) are summed, as an
-    (r - 1) x len(columns) array.  Each column is summed over all 2 |c|
-    shifts g = j + 2 r n mu at once: the shifts are the rows of one phase
-    array, taken in blocks of at most GAUSS_BLOCK phases (one row when
-    r - 1 is larger), the sign mu folded into each exact phase, and one
-    exp and one sum reduce each block.  Work is O(|c| r) per column;
-    memory is bounded by the block, whatever |c|.  Needs c != 0 (raises
-    ValueError otherwise).  Identical for mat and -mat.  Phases are
-    reduced exactly mod 4 r |c| in integer arithmetic before any floating
-    point: a and d first, then each product in turn, so every int64
-    intermediate stays below mod^2; OverflowError when that passes 2^63.
+    (r - 1) x len(columns) array.  Entry (j, k) sums, over the 2 |c|
+    shifts g = j + 2 r n mu, mu exp(i pi (a g^2 - 2 mu g k + d k^2) / 2rc).
+    With g split out, the n sum is the Gauss sum
+    H(u) = sum_n exp(2 pi i (u n + a r n^2) / c) at u = a mu j - k mod |c|,
+    so each column takes 2 (r - 1) phases of the (j, mu) points times H
+    there.  H is tabulated once on all |c| residues when there are fewer
+    of them than points, else summed at each column's points in blocks of
+    at most GAUSS_BLOCK phases (one n when 2 (r - 1) is larger): work is
+    O(r + |c| min(|c|, r)) per column, memory bounded by the block
+    whatever |c|.  Needs c != 0 (raises ValueError otherwise).  Identical
+    for mat and -mat.  Phases are exact residues mod 4 r |c| (mod |c| in
+    H), each product reduced in turn, so every int64 intermediate stays
+    below (4 r |c|)^2; OverflowError when that passes 2^63.
     """
     c = mat.c
     if c == 0:
@@ -234,26 +237,42 @@ def r_rep_gauss(
     # exp(-i pi phi / 4) has period 8 in phi; the centered residue keeps small phi
     phi = (rademacher_phi(mat) + 4) % 8 - 4
     jj = np.arange(1, r, dtype=np.int64)
-    kk = jj if columns is None else jj[list(columns)]
-    mod = 4 * r * abs(c)
+    labels = range(1, r)
+    kk = labels if columns is None else [labels[i] for i in columns]
+    cc = abs(c)
+    mod = 4 * r * cc
     if mod * mod >= 2**63:
         raise OverflowError(f"int64 Gauss phase overflow at r = {r}, c = {c}")
     a, d = mat.a % mod, mat.d % mod
-    dkk = d * kk % mod * kk % mod
+    ar = a * r % cc
+
+    def gauss(u: np.ndarray) -> np.ndarray:
+        """H at each residue of u, summed over n in blocks."""
+        step = max(1, GAUSS_BLOCK // len(u))
+        out = 0
+        for n0 in range(0, cc, step):
+            n = np.arange(n0, min(n0 + step, cc), dtype=np.int64)
+            # u n + a r n^2 = (u + a r n) n, below 2 |c|^2 before the last reduction
+            ph = (u[:, None] + ar * n % cc) * n % cc
+            out = out + np.exp(2j * math.pi / c * ph).sum(axis=1)
+        return out
+
+    # the points s = mu j, mu = 1 in row 0 and -1 in row 1: a s^2 mod 4 r |c|,
+    # with the sign mu folded in as half a period, mod / 2, and a s mod |c|
+    s = np.array((jj, -jj))
+    base = a * s % mod * s % mod
+    base[1] += mod // 2
+    a_s = a % cc * s
+    table = gauss(np.arange(cc, dtype=np.int64)) if cc < 2 * (r - 1) else None
     scale = 1j * math.pi / (2 * r * c)
-    total = np.zeros((r - 1, len(kk)), dtype=complex)
-    shifts = 2 * abs(c)
-    rows = max(1, GAUSS_BLOCK // (r - 1))
-    for s0 in range(0, shifts, rows):
-        # shift s has n = s mod |c| and mu = 1 for s < |c|, -1 after, so
-        # |g| < mod / 2; the sign mu adds half a period, mod / 2, to the phase
-        s = np.arange(s0, min(s0 + rows, shifts), dtype=np.int64)[:, None]
-        mu = np.where(s < abs(c), 1, -1)
-        g = jj + 2 * r * (s % abs(c)) * mu
-        base = a * g % mod * g % mod + (1 - mu) * (mod // 4)
-        mug = 2 * mu * g
-        for i, k in enumerate(kk):
-            total[:, i] += np.exp(scale * ((base - k * mug + dkk[i]) % mod)).sum(axis=0)
+    total = np.empty((r - 1, len(kk)), dtype=complex)
+    for i, k in enumerate(kk):
+        if table is None:
+            h = gauss(((a_s - k) % cc).ravel()).reshape(a_s.shape)
+        else:
+            h = table.take(a_s - k, mode="wrap")
+        ph = (base - 2 * k * s + d * k % mod * k % mod) % mod
+        total[:, i] = (np.exp(scale * ph) * h).sum(axis=0)
     pref = (
         1j
         * sign(c)

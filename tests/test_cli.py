@@ -232,12 +232,32 @@ def test_generic_chain_cap_exits_3_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert out == ""
-    assert err == f"error: generic chain length exceeds cap {invariants.GENERIC_CHAIN_CAP}\n"
+    assert err == f"error: generic chain length exceeds cap {invariants.CHAIN_CAP}\n"
     code, out, _ = run_cli(capsys, ["compute", long_chain, "--r", "5", "--format", "json"])
     assert code == 0
     rows = json.loads(out)
     assert [row["method"] for row in rows] == [m for m in ROUTES if m != "generic"]
     assert max(abs(row["re"] - 0.371748034460184) for row in rows) < 1e-9
+
+
+def test_section5_chain_cap_exits_3_fast(capsys):
+    # o;g=0;b=0;1000001/1000000 is normalized, a minus chain of 1000000 digits;
+    # section5 refuses it while expanding.  nn:o;g=0;20001/-1 normalizes to a
+    # 20000-digit chain, which auto skips in section5 (and graph_sum), while
+    # generic expands it as given, one digit
+    t0 = time.perf_counter()
+    argv = ["compute", "o;g=0;b=0;1000001/1000000", "--r", "5", "--method", "section5"]
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == f"error: section5 chain length exceeds cap {invariants.CHAIN_CAP}\n"
+    code, out, _ = run_cli(capsys, ["compute", "nn:o;g=0;20001/-1", "--r", "5", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["method"] for row in rows] == ["generic", "cs11", "compact"]
+    values = [complex(row["re"], row["im"]) for row in rows]
+    assert max(abs(a - b) for a in values for b in values) < 1e-9
 
 
 EXACT_FUNCTIONS = ("dedekind_sum", "convergents", "signature_exact")
@@ -271,6 +291,7 @@ def test_exact_work_runs_once_per_presentation(capsys, monkeypatch, presentation
             invariants._generic_exact,
             invariants._cs11_exact,
             invariants._compact_exact,
+            invariants._graph_sum_chains,
             invariants._graph_sum_exact,
             invariants._section5_exact,
         ):

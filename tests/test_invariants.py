@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seifert_rt import invariants
@@ -236,6 +236,33 @@ def test_cs11_matches_grid_formula(data, r):
     assert abs(res.value - cs11_grid(r, data)) <= res.tolerance_estimate
 
 
+@st.composite
+def boundary_fibers(draw):
+    """A level r and 1..2 fibers of order 2 (r - 1) - 1, 2 (r - 1) or
+    2 (r - 1) + 1, where cs11 and compact switch from tabulating each
+    fiber's Gauss sum on all residues to summing it at the 2 (r - 1) points."""
+    r = draw(st.integers(3, 20))
+    pairs = []
+    for _ in range(draw(st.integers(1, 2))):
+        alpha = 2 * (r - 1) + draw(st.sampled_from((-1, 0, 1)))
+        betas = st.integers(-3 * alpha, 3 * alpha)
+        pairs.append((alpha, draw(betas.filter(lambda x, a=alpha: math.gcd(x, a) == 1))))
+    base = draw(st.sampled_from(("o", "n")))
+    return r, SeifertData(base, draw(st.integers(1 if base == "n" else 0, 1)), None, tuple(pairs))
+
+
+@given(case=boundary_fibers())
+@example(case=(4, SeifertData("o", 0, None, ((5, 2), (6, 1), (7, 3)))))
+@example(case=(4, SeifertData("n", 1, None, ((5, -8), (7, 16)))))
+@example(case=(11, SeifertData("o", 1, None, ((19, 7), (21, -5)))))
+@settings(max_examples=60, deadline=None)
+def test_gauss_sum_routes_match_grid_at_table_boundary(case):
+    r, data = case
+    want = cs11_grid(r, data)
+    for res in (tau_cs11(r, data), tau_compact(r, data)):
+        assert abs(res.value - want) <= res.tolerance_estimate, res.method
+
+
 @given(data=small_seifert(), r=st.integers(3, 30), extra=st.data())
 @settings(max_examples=150, deadline=None)
 def test_cs11_and_compact_are_periodic_at_level_r(data, r, extra):
@@ -298,6 +325,27 @@ def test_cs11_large_fibers_match_other_routes(text):
     for other in (tau_compact(r, data), tau_generic(sl2_datum(r), data)):
         gap = abs(ours.value - other.value)
         assert gap <= ours.tolerance_estimate + other.tolerance_estimate, other.method
+
+
+def test_gauss_sum_routes_agree_on_a_huge_fiber():
+    """alpha = 2170633 at r = 3: cs11's Gauss-sum phase (u + cq m) m, with
+    cq = bstar r mod alpha = 1957742, passes 2^63 unless the product is
+    reduced first, and so does bstar r m^2.  Both Gauss-sum routes sum at
+    the 4 points, in blocks, and agree with generic.  The slope has small
+    continued fraction digits, so generic's chain does too: it raises the
+    twists to its digits as given, which loses about 1e-10 on a digit of
+    1.5e6 such as 3000017/2 has."""
+    alpha, beta = 2170633, 830993
+    r = 3
+    bstar = pow(beta, -1, alpha)
+    cq = bstar * r % alpha
+    assert (cq * (alpha - 1) + alpha - 1) * (alpha - 1) > 2**63
+    assert bstar * r * (alpha - 1) ** 2 > 2**63
+    data = parse_seifert(f"o;g=0;b=-1;{alpha}/{beta}")
+    results = [tau_cs11(r, data), tau_compact(r, data), tau_generic(sl2_datum(r), data)]
+    for a, b in itertools.combinations(results, 2):
+        gap = abs(a.value - b.value)
+        assert gap <= a.tolerance_estimate + b.tolerance_estimate, (a.method, b.method)
 
 
 @pytest.mark.parametrize(
@@ -498,7 +546,7 @@ def test_graph_sum_caps():
 def test_generic_chain_cap_counts_digits_as_given():
     # 2/(2n - 1) has n minus digits; the cap is on all chains together, and
     # generic does not normalize, so 2/20001 is refused though 2/1 would do
-    cap = invariants.GENERIC_CHAIN_CAP
+    cap = invariants.CHAIN_CAP
     d = sl2_datum(3)
     at_cap = SeifertData("o", 0, None, ((2, 2 * (cap - 4000) - 1), (2, 2 * 4000 - 1)))
     res, ref = tau_generic(d, at_cap), tau_cs11(3, at_cap)
@@ -508,10 +556,47 @@ def test_generic_chain_cap_counts_digits_as_given():
             tau_generic(d, SeifertData("o", 0, None, pairs))
 
 
+def test_graph_sum_checks_every_cap_before_building_its_block(monkeypatch):
+    """The level and term caps refuse before the plumbing block and its
+    signature are built; the chain cap is named first when it and the level
+    cap are both exceeded."""
+
+    def no_signature(B):
+        raise AssertionError("signature_exact ran for a refused call")
+
+    monkeypatch.setattr(invariants, "signature_exact", no_signature)
+    invariants._graph_sum_chains.cache_clear()
+    invariants._graph_sum_exact.cache_clear()
+    with pytest.raises(ComplexityCap, match="level r = 12 exceeds cap 10"):
+        tau_graph_sum(sl2_datum(12), POINCARE)
+    with pytest.raises(ComplexityCap, match="terms exceed cap 10"):
+        tau_graph_sum(sl2_datum(5), POINCARE, max_terms=10)
+    with pytest.raises(ComplexityCap, match="chain length 3 exceeds cap 2"):
+        tau_graph_sum(sl2_datum(12), POINCARE, chain_cap=2)
+
+
+def test_section5_chain_cap_counts_normalized_digits():
+    # 10001/10000 is a minus chain of 10000 twos, one more digit refuses; the
+    # cap is counted while the digits are taken, so a million-digit chain is
+    # refused at once.  nn:o;g=0;20001/-1 normalizes to 20001/20000, while
+    # generic expands it as given, one digit
+    cap = invariants.CHAIN_CAP
+    d = sl2_datum(5)
+    at_cap = parse_seifert(f"o;g=0;b=-1;{cap + 1}/{cap}")
+    res, ref = tau_section5(d, at_cap), tau_cs11(5, at_cap)
+    assert abs(res.value - ref.value) <= res.tolerance_estimate + ref.tolerance_estimate
+    refused = (f"o;g=0;b=-1;{cap + 2}/{cap + 1}", "o;g=0;b=0;1000001/1000000", "nn:o;g=0;20001/-1")
+    for text in refused:
+        with pytest.raises(ComplexityCap, match=f"section5 chain length exceeds cap {cap}"):
+            tau_section5(d, parse_seifert(text))
+    tau_generic(d, parse_seifert("nn:o;g=0;20001/-1"))
+
+
 EXACT_STAGES = (
     invariants._generic_exact,
     invariants._cs11_exact,
     invariants._compact_exact,
+    invariants._graph_sum_chains,
     invariants._graph_sum_exact,
     invariants._section5_exact,
 )

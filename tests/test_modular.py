@@ -225,12 +225,21 @@ def gauss_loop(mat, r, columns):
     r=st.integers(2, 40),
     picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
 )
-# 2 |c| (r - 1) = 116922 phases: eight blocks
+# 2 (r - 1) = 78 points times |c| = 1499 shifts n: 116922 phases per column,
+# eight blocks of 210 n
 @example(mat=SL2Z(2, 1, 1499, 750), r=40, picks=[0, 17, 38])
+# |c| = 2 (r - 1) - 1, 2 (r - 1) and 2 (r - 1) + 1: below the points H is
+# tabulated on all residues, from there on summed at each column's points
+@example(mat=SL2Z(2, 1, 37, 19), r=20, picks=[0, 5, 18])
+@example(mat=SL2Z(3, 1, 38, 13), r=20, picks=[0, 11, 18])
+@example(mat=SL2Z(-3, -1, -38, -13), r=20, picks=[0, 7])
+@example(mat=SL2Z(2, 1, 39, 20), r=20, picks=[0, 3, 18])
 @settings(max_examples=60, deadline=None)
 def test_gauss_blocks_match_shift_loop(mat, r, picks):
     """The blocked kernel matches the per-shift loop on any columns,
-    including |c| whose shifts span several blocks."""
+    including |c| whose shifts span several blocks and |c| on either side
+    of the 2 (r - 1) points, where the kernel switches from a table of H
+    to sums at the points."""
     picked = [p % (r - 1) for p in picks]
     assert np.max(np.abs(r_rep_gauss(mat, r, picked) - gauss_loop(mat, r, picked))) <= 1e-13
 
