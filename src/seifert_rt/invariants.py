@@ -23,7 +23,9 @@ tau_* body, runs once per level on that result.  compact keys its exact
 stage on the pairs centered mod 4 r alpha, since that reduction depends
 on r.  graph_sum splits its exact stage in two, its chains (with its
 chain cap) and then, once its level and term caps pass, the plumbing
-block.  No exact stage is shared between routes.
+block.  No exact stage is shared between routes; generic, section5 and
+graph_sum take their chain digits through one capped expansion,
+_capped_chains, each with its own cap.  cs11 and compact read no digits.
 
 ROUTES names the five, in this order, each with an adapter
 run(r, datum, data) that takes the level r, a loaded datum or None, and
@@ -134,18 +136,19 @@ def _drop_trivial(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], 
 
 
 def _capped_chains(
-    route: str, pairs: tuple[tuple[int, int], ...], cf_style: str
+    route: str, pairs: tuple[tuple[int, int], ...], cf_style: str, cap: int
 ) -> list[tuple[int, ...]]:
     """The chain digits of each pair, taken one at a time: ComplexityCap as
-    soon as all chains together pass CHAIN_CAP digits."""
+    soon as all chains together pass cap digits.  The one digit expansion
+    of generic, section5 and graph_sum, each with its own cap."""
     chains = []
-    room = CHAIN_CAP
+    room = cap
     for a, b in pairs:
         # cf_digits gives the digits last first; one past the room passes the cap
         digits = tuple(itertools.islice(cf_digits(a, b, cf_style), room + 1))
         room -= len(digits)
         if room < 0:
-            raise ComplexityCap(f"{route} chain length exceeds cap {CHAIN_CAP}")
+            raise ComplexityCap(f"{route} chain length exceeds cap {cap}")
         chains.append(digits[::-1])
     return chains
 
@@ -175,7 +178,7 @@ def _generic_exact(
 
     At most CHAIN_CAP digits in all (ComplexityCap beyond).
     """
-    chains = _capped_chains("generic", _drop_trivial(data.pairs), cf_style)
+    chains = _capped_chains("generic", _drop_trivial(data.pairs), cf_style, CHAIN_CAP)
     tables = [convergents(c) for c in chains]
     return tuple(chains), sigma_closed_form(data.base, sign(euler_number(data)), tables)
 
@@ -375,11 +378,7 @@ def _graph_sum_chains(
     """First exact stage of tau_graph_sum: the normalized presentation and
     the chain of each of its pairs.  ComplexityCap past chain_cap digits."""
     mm = normalize(data)
-    cfs = tuple(cf_expand(a, b, cf_style) for a, b in mm.pairs)
-    total_len = sum(map(len, cfs))
-    if total_len > chain_cap:
-        raise ComplexityCap(f"chain length {total_len} exceeds cap {chain_cap}")
-    return mm, cfs
+    return mm, tuple(_capped_chains("graph_sum", mm.pairs, cf_style, chain_cap))
 
 
 @functools.lru_cache(maxsize=1)
@@ -407,10 +406,13 @@ def tau_graph_sum(
     """Brute-force plumbing state sum (orientable base only).
 
     Normalizes the presentation, negates its plumbing block, and sums the
-    mirror datum's graph weights over every label assignment.  Wholly
-    independent of the chain algebra in the other routes, and guarded by
-    three complexity caps (total chain length, level, term count), all
-    checked in that order before the plumbing block is built.
+    mirror datum's graph weights over every label assignment: one complex
+    tensor with an axis per plumbing vertex, nl^m values for m vertices
+    (at most 8 MB at the default term cap), every term formed explicitly.
+    Wholly independent of the chain algebra in the other routes, and
+    guarded by three complexity caps (total chain length, level, term
+    count), all checked in that order before the plumbing block is built;
+    the chain digits are taken one at a time up to the cap.
     """
     if data.base != "o":
         raise Unsupported("graph state sum needs an orientable base")
@@ -424,32 +426,25 @@ def tau_graph_sum(
         raise ComplexityCap(f"{nl}^{mtot} terms exceed cap {max_terms}")
     g, B, sig, bexp = _graph_sum_exact(mm, cfs)
 
+    # one axis per plumbing vertex: term[l_0, ..., l_m-1] is the weight of
+    # one labeling, each vertex weight multiplied onto its axis, then each
+    # edge (p, q), p < q, onto axes p and q
     mir = mirror_datum(datum)
-    genera = [g] + [0] * (mtot - 1)
     dual = np.array(mir.dual)
-    vertex = []
+    term = np.ones((nl,) * mtot, dtype=complex)
     for p in range(mtot):
         a_p = sum(abs(B[p][q]) for q in range(mtot) if q != p)
-        vertex.append(mir.v ** B[p][p] * mir.dims ** (2 - 2 * genera[p] - a_p))
-    edges = []
+        weight = mir.v ** B[p][p] * mir.dims ** (2 - 2 * (g if p == 0 else 0) - a_p)
+        term *= weight.reshape((nl,) + (1,) * (mtot - 1 - p))
     for p in range(mtot):
         for q in range(p + 1, mtot):
-            w0 = B[p][q]
-            if w0 == 0:
-                continue
-            mat = mir.S if w0 > 0 else mir.S[dual, :]
-            edges.append((p, q, mat ** abs(w0)))
-
-    count = nl**mtot
-    idx = np.unravel_index(np.arange(count), (nl,) * mtot)
-    term = np.ones(count, dtype=complex)
-    for p in range(mtot):
-        term *= vertex[p][idx[p]]
-    for p, q, mat in edges:
-        term *= mat[idx[p], idx[q]]
+            if B[p][q] != 0:
+                mat = mir.S if B[p][q] > 0 else mir.S[dual, :]
+                shape = (nl,) + (1,) * (q - p - 1) + (nl,) + (1,) * (mtot - 1 - q)
+                term *= (mat ** abs(B[p][q])).reshape(shape)
     val = mir.delta**sig * datum.D**bexp * np.sum(term)
     return InvariantResult(
-        complex(val), r, "graph_sum", sig, _tol(r, mtot + count // max(nl, 1))
+        complex(val), r, "graph_sum", sig, _tol(r, mtot + nl ** (mtot - 1))
     )
 
 
@@ -475,7 +470,7 @@ def _section5_exact(
             raise ArithmeticError(f"framing defect not divisible by 3 for {entries}")
         return num // 3
 
-    chains = _capped_chains("section5", mm.pairs, cf_style)
+    chains = _capped_chains("section5", mm.pairs, cf_style, CHAIN_CAP)
     if b != 0:
         chains.append((-b, 0))
         mu = n - 1 - sign(b) * sign(euler_number(mm))

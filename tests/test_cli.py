@@ -214,7 +214,7 @@ def test_complexity_cap_flag(capsys):
     )
     assert code == 3
     assert out == ""
-    assert "chain length 9 exceeds cap 8" in err
+    assert "graph_sum chain length exceeds cap 8" in err
     code, out, _ = run_cli(capsys, ["compute", "o;g=0;b=0;9/8", "--r", "3", "--format", "json"])
     assert code == 0
     rows = json.loads(out)
@@ -258,6 +258,18 @@ def test_section5_chain_cap_exits_3_fast(capsys):
     assert [row["method"] for row in rows] == ["generic", "cs11", "compact"]
     values = [complex(row["re"], row["im"]) for row in rows]
     assert max(abs(a - b) for a in values for b in values) < 1e-9
+
+
+def test_graph_sum_chain_cap_exits_3_fast(capsys):
+    # 10000001/10000000 is normalized, a minus chain of 10000000 digits;
+    # graph_sum refuses it at the ninth digit instead of expanding it all
+    t0 = time.perf_counter()
+    argv = ["compute", "o;g=0;b=0;10000001/10000000", "--r", "5", "--method", "graph_sum"]
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == "error: graph_sum chain length exceeds cap 8\n"
 
 
 EXACT_FUNCTIONS = ("dedekind_sum", "convergents", "signature_exact")

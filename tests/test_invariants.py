@@ -29,17 +29,25 @@ from seifert_rt.invariants import (
     tau_section5,
     verlinde_dim,
 )
-from seifert_rt.modular import ModularDatum, sl2_datum
+from seifert_rt.modular import ModularDatum, check_axioms, mirror_datum, sl2_datum
 from seifert_rt.seifert import (
     LensSpace,
     SeifertData,
     euler_number,
+    first_betti,
     normalize,
     parse_seifert,
     reverse_orientation,
     seifert_from_lens,
 )
-from seifert_rt.sl2z import cf_expand, dedekind_sum, sign
+from seifert_rt.sl2z import (
+    CF_STYLES,
+    cf_expand,
+    dedekind_sum,
+    linking_matrix,
+    sign,
+    signature_exact,
+)
 
 POINCARE = parse_seifert("o;g=0;b=-1;2/1,3/1,5/1")
 S3_PLUS = parse_seifert("o;g=0;b=1;")
@@ -214,9 +222,10 @@ def cs11_mpmath(r, data, dps=40):
 
 
 @st.composite
-def small_seifert(draw):
-    """Both bases, genus 0..2, 1..3 fibers with alpha <= 7, both shapes."""
-    base = draw(st.sampled_from(("o", "n")))
+def small_seifert(draw, bases=("o", "n")):
+    """Genus 0..2, 1..3 fibers with alpha <= 7, both shapes; both bases
+    unless bases says otherwise."""
+    base = draw(st.sampled_from(bases))
     genus = draw(st.integers(1 if base == "n" else 0, 2))
     normalized = draw(st.booleans())
     pairs = []
@@ -530,6 +539,115 @@ def test_lens_matches_fibered_presentation():
                 assert abs(direct - via_fibration) < 1e-10
 
 
+# ------------------------------------------------------ graph_sum state sum
+
+
+def graph_sum_flat(datum, data, cf_style="minus"):
+    """Reference: tau_graph_sum with its chains expanded in full and its
+    state sum over one flat index, unravelled into one label array per
+    plumbing vertex.  Value, sigma and tolerance, the floats as float.hex."""
+    mm = normalize(data)
+    cfs = tuple(cf_expand(a, b, cf_style) for a, b in mm.pairs)
+    mtot = 1 + sum(map(len, cfs))
+    full = linking_matrix(mm, cfs)
+    head = 2 * mm.genus
+    B = tuple(tuple(-full[head + i][head + j] for j in range(mtot)) for i in range(mtot))
+    sig, nul = signature_exact(B)
+    bexp = first_betti(mm) - 1 - mtot - nul - sig
+    mir = mirror_datum(datum)
+    nl = datum.n_labels
+    genera = [mm.genus] + [0] * (mtot - 1)
+    dual = np.array(mir.dual)
+    vertex = []
+    for p in range(mtot):
+        a_p = sum(abs(B[p][q]) for q in range(mtot) if q != p)
+        vertex.append(mir.v ** B[p][p] * mir.dims ** (2 - 2 * genera[p] - a_p))
+    edges = []
+    for p in range(mtot):
+        for q in range(p + 1, mtot):
+            w0 = B[p][q]
+            if w0 != 0:
+                mat = mir.S if w0 > 0 else mir.S[dual, :]
+                edges.append((p, q, mat ** abs(w0)))
+    count = nl**mtot
+    idx = np.unravel_index(np.arange(count), (nl,) * mtot)
+    term = np.ones(count, dtype=complex)
+    for p in range(mtot):
+        term *= vertex[p][idx[p]]
+    for p, q, mat in edges:
+        term *= mat[idx[p], idx[q]]
+    val = complex(mir.delta**sig * datum.D**bexp * np.sum(term))
+    tol = invariants._tol(nl + 1, mtot + count // nl)
+    return val.real.hex(), val.imag.hex(), sig, tol.hex()
+
+
+def _hex(res):
+    v = res.value
+    return v.real.hex(), v.imag.hex(), res.sigma_used, res.tolerance_estimate.hex()
+
+
+def pointed_datum(n, k):
+    """The pointed datum of Z/n, n odd: twists exp(2 pi i k x^2 / n),
+    S[x, y] = exp(4 pi i k x y / n), every dimension 1, dual(x) = -x."""
+    x = np.arange(n)
+    v = np.exp(2j * np.pi * k * x * x / n)
+    S = np.exp(4j * np.pi * k * np.outer(x, x) / n)
+    dual = tuple(int(y) for y in -x % n)
+    eps = (1,) + (None,) * (n - 1)
+    return ModularDatum(n, S, v, np.ones(n), math.sqrt(n), complex(np.sum(v.conj())), dual, eps)
+
+
+def _in_graph_sum_caps(data, nl, cf_style):
+    digits = sum(len(cf_expand(a, b, cf_style)) for a, b in normalize(data).pairs)
+    return digits <= 8 and nl ** (1 + digits) <= 500_000
+
+
+@given(
+    data=small_seifert(bases=("o",)),
+    r=st.integers(3, 10),
+    cf_style=st.sampled_from(CF_STYLES),
+)
+@settings(max_examples=80, deadline=None)
+def test_graph_sum_matches_flat_state_sum(data, r, cf_style):
+    """The product tensor forms every term as the flat enumeration did, in
+    the same order of factors, so the two agree bit for bit."""
+    datum = sl2_datum(r)
+    assume(_in_graph_sum_caps(data, datum.n_labels, cf_style))
+    assert _hex(tau_graph_sum(datum, data, cf_style)) == graph_sum_flat(datum, data, cf_style)
+
+
+@given(data=small_seifert(bases=("o",)), k=st.sampled_from((1, 2)))
+@settings(max_examples=40, deadline=None)
+def test_graph_sum_matches_flat_state_sum_with_duality(data, k):
+    """Pointed Z/3 has dual(x) = -x, the only kind of datum here on which
+    an edge weight read from the dual-permuted S differs from S; generic
+    reads no duality, and agrees."""
+    datum = pointed_datum(3, k)
+    assert max(check_axioms(datum).values()) < 1e-12
+    assume(_in_graph_sum_caps(data, datum.n_labels, "minus"))
+    res = tau_graph_sum(datum, data)
+    assert _hex(res) == graph_sum_flat(datum, data)
+    ref = tau_generic(datum, data)
+    assert abs(res.value - ref.value) <= res.tolerance_estimate + ref.tolerance_estimate
+
+
+def test_graph_sum_largest_state_sum_stays_small_in_memory():
+    """o;g=0;b=-2;8/7 at r = 6 is 5^8 = 390 625 terms, the largest sum the
+    caps allow.  The product tensor holds them once (6.25 MB); the flat
+    enumeration also held one index array per vertex (37.5 MB traced)."""
+    data = parse_seifert("o;g=0;b=-2;8/7")
+    datum = sl2_datum(6)
+    tracemalloc.start()
+    try:
+        res = tau_graph_sum(datum, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+    ref = tau_cs11(6, data)
+    assert abs(res.value - ref.value) <= res.tolerance_estimate + ref.tolerance_estimate
+
+
 # ------------------------------------------------------- guards and caps
 
 
@@ -571,7 +689,7 @@ def test_graph_sum_checks_every_cap_before_building_its_block(monkeypatch):
         tau_graph_sum(sl2_datum(12), POINCARE)
     with pytest.raises(ComplexityCap, match="terms exceed cap 10"):
         tau_graph_sum(sl2_datum(5), POINCARE, max_terms=10)
-    with pytest.raises(ComplexityCap, match="chain length 3 exceeds cap 2"):
+    with pytest.raises(ComplexityCap, match="graph_sum chain length exceeds cap 2"):
         tau_graph_sum(sl2_datum(12), POINCARE, chain_cap=2)
 
 
