@@ -6,17 +6,21 @@ Subcommands:
   lens      evaluate both lens space routes and their difference
   axioms    datum, representation, and number-theory consistency report
 
-The methods are the routes of invariants.ROUTES.  The default, auto,
-tries each route and skips one that refuses its base or its datum
-(Unsupported) or its cost (ComplexityCap); a method named with --method
-that refuses exits with code 2, or 3 for a complexity cap.  graph_sum's
-caps are fixed in tau_graph_sum.
+The methods are the routes of invariants.ROUTES.  run_routes runs each
+route once per presentation over all the requested levels, and walks the
+results level by level, each level's routes in order.  The default,
+auto, skips a route that refuses its base or its datum (Unsupported) or
+its cost (ComplexityCap) at a level; where every route refuses, the
+first route's refusal is the error.  A method named with --method that
+refuses exits with code 2, or 3 for a complexity cap: the first refusal
+of the walk.  A route that refuses a level refuses every higher level
+too (see invariants).  graph_sum's caps are fixed in tau_graph_sum.
 lens_direct is reached only through lens.
 Every subcommand prints through emit_records.
 
 Each setting is checked once: by argparse (choices, or the type= of
 --tolerance) or by the function that consumes it (parse_r_spec for --r,
-_method_list and evaluate for --method).  A subcommand takes only the
+_method_list and run_routes for --method).  A subcommand takes only the
 flags it reads.
 
 Exit codes, mapped from errors in main alone: 0 success, 1 verification
@@ -40,7 +44,14 @@ import sys
 
 import numpy as np
 
-from .invariants import ROUTES, ComplexityCap, InvariantResult, Unsupported, tau_lens_routes
+from .invariants import (
+    ROUTES,
+    ComplexityCap,
+    Entry,
+    InvariantResult,
+    Unsupported,
+    tau_lens_routes,
+)
 from .modular import ModularDatum, check_axioms, load_datum, r_rep_generators, sl2_datum
 from .seifert import LensSpace, SeifertData, parse_seifert
 from .sl2z import b_matrix, dedekind_sum, dedekind_sum_cotangent, rademacher_phi, sign
@@ -97,37 +108,54 @@ def random_seifert(rng: random.Random) -> SeifertData:
     return SeifertData(base, genus, b, tuple(pairs))
 
 
-def evaluate(
-    method: str, data: SeifertData, r: int, datum: ModularDatum | None = None
-) -> InvariantResult:
-    """One route at level r; an overflow names the route and the level."""
-    route = ROUTES.get(method)
-    if route is None:
-        raise ValueError(f"unknown method {method!r}")
-    try:
-        return route(r, datum, data)
-    except OverflowError as exc:
-        raise OverflowError(f"{method} at r = {r}: {exc}") from None
+def evaluate(method: str, r: int, entry: Entry) -> InvariantResult:
+    """A route's entry at level r: its result, or what it raised there,
+    raised again; an overflow names the route and the level."""
+    if isinstance(entry, OverflowError):
+        raise OverflowError(f"{method} at r = {r}: {entry}") from None
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def run_routes(
-    data: SeifertData, r: int, methods: tuple[str, ...], datum: ModularDatum | None = None
-) -> list[InvariantResult]:
-    """The requested methods at level r, in order.
+    data: SeifertData,
+    levels: tuple[int, ...],
+    methods: tuple[str, ...],
+    datum: ModularDatum | None = None,
+) -> list[list[InvariantResult]]:
+    """The requested methods at each of the ascending levels, one row per
+    level, each row in method order.
 
-    "auto" tries every route of ROUTES and skips one that refuses its
-    base, its datum or its cost; a method named explicitly lets the
-    refusal propagate.
+    Each route runs once over all the levels, when the walk over (level,
+    route) first reaches it.  "auto" tries every route of ROUTES and skips
+    one that refuses its base, its datum or its cost at a level; where
+    every route refuses, the first route's refusal is raised.  A method
+    named explicitly lets its refusal propagate: the first in the walk.
     """
-    if methods != ("auto",):
-        return [evaluate(m, data, r, datum) for m in methods]
-    results = []
-    for name in ROUTES:
-        try:
-            results.append(evaluate(name, data, r, datum))
-        except (ComplexityCap, Unsupported):
-            continue
-    return results
+    auto = methods == ("auto",)
+    names = tuple(ROUTES) if auto else methods
+    sweeps: dict[str, list[Entry]] = {}
+    rows = []
+    for i, r in enumerate(levels):
+        row = []
+        refusals = []
+        for name in names:
+            if name not in sweeps:
+                route = ROUTES.get(name)
+                if route is None:
+                    raise ValueError(f"unknown method {name!r}")
+                sweeps[name] = route(levels, datum, data)
+            try:
+                row.append(evaluate(name, r, sweeps[name][i]))
+            except (ComplexityCap, Unsupported) as exc:
+                if not auto:
+                    raise
+                refusals.append(exc)
+        if not row:
+            raise refusals[0]
+        rows.append(row)
+    return rows
 
 
 def _max_gap(values: list[complex]) -> float:
@@ -221,7 +249,7 @@ def cmd_compute(args) -> int:
     if datum is not None:
         r_values = (datum.n_labels + 1,)  # the datum fixes r; --r is still checked
     methods = _method_list(args)
-    results = [res for r in r_values for res in run_routes(data, r, methods, datum)]
+    results = [res for row in run_routes(data, r_values, methods, datum) for res in row]
     for res in results:
         if not cmath.isfinite(res.value):
             raise OverflowError(f"{res.method} at r = {res.r}: value beyond floating-point range")
@@ -245,8 +273,8 @@ def cmd_verify(args) -> int:
     rows: list[dict] = []
     diffs = []
     for data in inputs:
-        for r in r_values:
-            values = [res.value for res in run_routes(data, r, ("auto",))]
+        for r, row in zip(r_values, run_routes(data, r_values, ("auto",))):
+            values = [res.value for res in row]
             diff = _max_gap(values)
             diffs.append(diff)
             rows.append(

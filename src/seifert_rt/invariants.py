@@ -18,21 +18,30 @@ function of the presentation alone (plus cf_style where the route reads
 it), does the exact number theory: chain digits, the Euler number,
 Dedekind sums, Rademacher phi, signatures.  It runs once per
 presentation: functools.lru_cache(maxsize=1) keeps the last result,
-which holds only what the numeric stage reads.  The numeric stage, the
-tau_* body, runs once per level on that result.  compact keys its exact
+which holds only what the numeric stage reads.  The numeric stage reads
+that result.  generic, graph_sum and section5 read one datum per level
+and run it level by level.  cs11 and compact depend on the level alone
+and run it once per request, over all the requested levels as one array
+of (level, point) entries, in chunks of at most CS11_BLOCK or
+GAUSS_BLOCK points (tau_cs11_sweep, tau_compact_sweep; tau_cs11 and
+tau_compact are their calls at one level).  compact keys its exact
 stage on the pairs centered mod 4 r alpha, since that reduction depends
-on r.  graph_sum splits its exact stage in two, its chains (with its
-chain cap) and then, once its level and term caps pass, the plumbing
-block.  No exact stage is shared between routes; generic, section5 and
+on r, and groups its levels by them.  graph_sum splits its exact stage
+in two, its chains (with its chain cap) and then, once its level and
+term caps pass, the plumbing block.  No exact stage is shared between routes; generic, section5 and
 graph_sum take their chain digits through one capped expansion,
 _capped_chains, each with its own cap.  cs11 and compact read no digits.
 
 ROUTES names the five, in this order, each with an adapter
-run(r, datum, data) that takes the level r, a loaded datum or None, and
-the presentation.  generic, graph_sum and section5 read a datum, the
-built-in sl2 one unless a datum is loaded, and expand slopes in the
-default minus style; cs11 and compact depend on r alone and refuse a
-loaded datum.  InvariantResult accepts these names only.
+run(levels, datum, data) that takes the ascending tuple of levels, a
+loaded datum or None, and the presentation, and returns one entry per
+level: the InvariantResult, or the ComplexityCap, Unsupported or
+OverflowError that the route raised at that level.  A route stops at its
+first refusal, which stands for every higher level: each refusal either
+ignores the level or grows with r.  generic, graph_sum and section5 read
+a datum, the built-in sl2 one unless a datum is loaded, and expand
+slopes in the default minus style; cs11 and compact depend on r alone
+and refuse a loaded datum.  InvariantResult accepts these names only.
 tau_lens_routes evaluates a lens space along two internal routes; there
 are also Verlinde dimensions.
 
@@ -43,6 +52,7 @@ index j - 1), and t = exp(i pi / 2r).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -54,8 +64,11 @@ from fractions import Fraction
 import numpy as np
 
 from .modular import (
+    GAUSS_BLOCK,
     ModularDatum,
     g_matrix,
+    gauss_columns,
+    gauss_modulus,
     mirror_datum,
     r_rep_gauss,
     sl2_datum,
@@ -82,8 +95,9 @@ from .sl2z import (
     signature_exact,
 )
 
-# phases per block of a cs11 fiber's Gauss sums at the points, m terms times
-# the 2 (r - 1) points (gamma, mu): bounds its memory whatever alpha
+# points (gamma, mu) per chunk of cs11's level sweep, 2 (r - 1) per level, and
+# phases per block of a fiber's Gauss sums: bounds its memory whatever alpha
+# and however many levels
 CS11_BLOCK = 2**14
 # digits of all of a chain route's chains together (generic, section5): each
 # costs a convergent matrix once and a product with S per level.  At the cap
@@ -124,6 +138,18 @@ class InvariantResult:
             raise ValueError(f"need r >= 2, got {self.r}")
         if not self.tolerance_estimate > 0:
             raise ValueError("tolerance_estimate must be positive")
+
+
+# one level's entry of a route's sweep: its result, or what it raised there
+Entry = InvariantResult | ComplexityCap | Unsupported | OverflowError
+
+
+def _single(entries: list[Entry]) -> InvariantResult:
+    """The result of a sweep at one level, or its refusal raised."""
+    (entry,) = entries
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 def _tol(r: int, work: int) -> float:
@@ -239,31 +265,98 @@ def _cs11_exact(data: SeifertData) -> tuple[Fraction, int, int, Fraction, tuple[
 
 
 def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
-    """Closed number-theoretic evaluation, sl2 datum only.
+    """Closed number-theoretic evaluation at level r, sl2 datum only:
+    tau_cs11_sweep at the one level."""
+    return _single(tau_cs11_sweep((r,), data))
+
+
+def tau_cs11_sweep(
+    levels: tuple[int, ...], data: SeifertData
+) -> list[Entry]:
+    """Closed number-theoretic evaluation at each of the ascending levels.
 
     All phases are exact rational multiples of pi reduced in integer
     arithmetic before exponentiation; the only irrational inputs are the
     sine factors.  No matrices, no continued fractions.  The sum over
     (mu, m) factors into one sum per fiber, and splitting gamma out of each
     phase leaves a Gauss sum G over m that depends on gamma + mu bstar mod
-    alpha only.  G is tabulated on all alpha residues when they are fewer
-    than the 2 (r - 1) points (gamma, mu), and summed at the points
-    otherwise, in blocks of at most CS11_BLOCK phases (one m when the
-    points or residues are more), so memory is bounded by the block
-    whatever alpha.  Work per fiber is O(r + alpha min(alpha, r))
-    exponentials, never more than the 2 alpha (r - 1) of the whole grid.
-    OverflowError when alpha^2 passes int64.
+    alpha and on bstar r mod alpha only.  The levels are swept in chunks
+    of at most CS11_BLOCK points (gamma, mu), 2 (r - 1) per level (one
+    level when it has more), each chunk one array of (level, gamma)
+    entries.  At a level with fewer alpha residues than points, G is
+    tabulated on all residues, once per value of bstar r mod alpha in the
+    chunk; at the others it is summed at the points; either way in blocks
+    of at most CS11_BLOCK phases (one m when there are more rows), so
+    memory is bounded by the block whatever alpha and r.  Work per fiber
+    is O(r + alpha min(alpha, r)) exponentials per level, never more than
+    the 2 alpha (r - 1) of the whole grid.
+
+    One entry per level: the result, or the OverflowError of the first
+    level that overflows (a float power of r, or alpha^2 past int64),
+    repeated at every higher level.
     """
     pairs = data.pairs
     n = len(pairs)
     g = data.genus
     ae = 2 if data.base == "o" else 1
     aeg = ae * g
+    if list(levels) != sorted(levels):
+        raise ValueError(f"levels must ascend, got {tuple(levels)}")
     e, es, A, x, bstars = _cs11_exact(data)
-    pref = cmath.exp(1j * math.pi * float(x % (4 * r)) / (2 * r))
-    pref *= (-1) ** aeg * 1j**n * r ** (aeg / 2 - 1) / 2 ** (n + aeg / 2 - 1)
-    pref /= math.sqrt(A)
-    pref *= cmath.exp(1j * 3 * math.pi * (1 - ae) * es / 4)
+    prefs = []
+    for r in levels:
+        try:
+            # x mod 4r as the float of an exact quotient of integers, which is
+            # what float() of the Fraction computes, without Fraction arithmetic
+            xr = x.numerator % (4 * r * x.denominator) / x.denominator
+            pref = cmath.exp(1j * math.pi * xr / (2 * r))
+            pref *= (-1) ** aeg * 1j**n * r ** (aeg / 2 - 1) / 2 ** (n + aeg / 2 - 1)
+            pref /= math.sqrt(A)
+            pref *= cmath.exp(1j * 3 * math.pi * (1 - ae) * es / 4)
+            for alpha, _ in pairs:
+                if alpha * alpha >= 2**63:
+                    raise OverflowError(f"int64 phase overflow at r = {r}, alpha = {alpha}")
+        except OverflowError as exc:
+            stop = [exc] * (len(levels) - len(prefs))
+            break
+        prefs.append(pref)
+    else:
+        stop = []
+    out: list[Entry] = []
+    lo = 0
+    while lo < len(prefs):
+        hi, points = lo + 1, 2 * (levels[lo] - 1)
+        while hi < len(prefs) and points + 2 * (levels[hi] - 1) <= CS11_BLOCK:
+            points += 2 * (levels[hi] - 1)
+            hi += 1
+        sums = _cs11_sums(levels[lo:hi], pairs, bstars, e, aeg)
+        for r, pref, z in zip(levels[lo:hi], prefs[lo:hi], sums):
+            # error model: the term count prod 2 alpha_j = 2^n A of the unfactored sum
+            out.append(InvariantResult(complex(pref * z), r, "cs11", None, _tol(r, 2**n * A)))
+        lo = hi
+    return out + stop
+
+
+def _cs11_sums(
+    levels: tuple[int, ...],
+    pairs: tuple[tuple[int, int], ...],
+    bstars: tuple[int, ...],
+    e: Fraction,
+    aeg: int,
+) -> list[complex]:
+    """The gamma sum Z of tau_cs11 at each of the ascending levels of one
+    chunk, as one array of (level, gamma) entries summed level by level."""
+    size = [r - 1 for r in levels]
+    starts = list(itertools.accumulate(size, initial=0))
+
+    def spread(values: list, counts: list[int]):
+        """One value per level at each of its entries; at one level, the value."""
+        return values[0] if len(counts) == 1 else np.repeat(values, counts)
+
+    rr = spread(levels, size)
+    gam = np.arange(1, starts[-1] + 1)
+    if len(levels) > 1:
+        gam -= np.repeat(starts[:-1], size)
 
     # W(gamma) = prod_j sum_{mu, m} mu exp(i pi X_j / (r alpha_j)) with
     # X_j = -gamma mu - 2 r ((gamma + mu bstar) m + bstar r m^2): the m sum is
@@ -271,44 +364,66 @@ def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     # mod alpha, and the fiber sum is h G(gamma + bstar) - conj(h) G(gamma - bstar)
     # with h = exp(-i pi gamma / (r alpha)).  Every phase of G is a residue mod
     # alpha, each product reduced, so no int64 intermediate reaches alpha^2
-    gam = np.arange(1, r, dtype=np.int64)
-    W = np.ones(r - 1, dtype=complex)
+    W = np.ones(starts[-1], dtype=complex)
     for (alpha, _), bstar in zip(pairs, bstars):
-        if alpha * alpha >= 2**63:
-            raise OverflowError(f"int64 phase overflow at r = {r}, alpha = {alpha}")
-        # G on all alpha residues when they are fewer than the 2 (r - 1) points,
-        # else at the points
-        table = alpha < 2 * (r - 1)
-        if table:
-            u = np.arange(alpha, dtype=np.int64)
-        else:
-            u = np.concatenate(((gam + bstar) % alpha, (gam - bstar) % alpha))
-        cq = bstar * r % alpha
-        step = max(1, CS11_BLOCK // len(u))
-        G = 0
-        for m0 in range(0, alpha, step):
-            m = np.arange(m0, min(m0 + step, alpha), dtype=np.int64)
-            # u m + cq m^2 = (u + cq m) m
-            ph = (u[:, None] + cq * m % alpha) % alpha * m % alpha
-            G = G + np.exp(-2j * math.pi / alpha * ph).sum(axis=1)
-        if table:
-            gp, gm = G.take(gam + bstar, mode="wrap"), G.take(gam - bstar, mode="wrap")
-        else:
-            gp, gm = G[: r - 1], G[r - 1 :]
-        h = np.exp(-1j * math.pi / (r * alpha) * gam)
-        W *= h * gp - h.conj() * gm
+        cq = [bstar * r % alpha for r in levels]
+        # G is tabulated on all residues, one table per value of cq, at the
+        # levels with fewer residues than points, and summed at the points
+        # (gamma, +-1) of the first p levels, whose rows follow the tables
+        p = bisect.bisect_right(size, alpha // 2)
+        npts = starts[p]
+        slots = list(dict.fromkeys(cq[p:]))
+        ud = (gam + np.array(((bstar,), (-bstar,)))) % alpha
+        u = np.arange(alpha) if len(slots) == 1 else np.arange(alpha * len(slots)) % alpha
+        q = slots[0] if len(slots) == 1 else np.repeat(slots, alpha)
+        at = ud[:, npts:]
+        if len(slots) > 1:
+            at = at + spread([alpha * slots.index(c) for c in cq[p:]], size[p:])
+        if p:
+            u = np.concatenate((u, ud[:, :npts].ravel()))
+            qp = np.repeat(cq[:p], size[:p])
+            q = np.concatenate((np.repeat(np.array(slots, dtype=np.int64), alpha), qp, qp))
+            pts = alpha * len(slots) + np.arange(2 * npts).reshape(2, npts)
+            at = np.concatenate((pts, at), axis=1)
+        g = _cs11_gauss(u, q, alpha)[at]
+        h = np.exp(spread([-1j * math.pi / (r * alpha) for r in levels], size) * gam)
+        W *= h * g[0] - h.conj() * g[1]
 
     sgn_g = np.where((gam * aeg) % 2 == 1, -1.0, 1.0)
     # exp(i pi e gam^2 / 2r) has period 2 den_e in the numerator of e, which
-    # is reduced in Python ints: e.numerator gam^2 can pass 2^63 at any r
-    den_e = 2 * r * e.denominator
-    num_e = [e.numerator * g * g % (2 * den_e) for g in range(1, r)]
-    ph_e = np.exp(1j * math.pi * np.array(num_e, dtype=float) / den_e)
-    sins = np.sin(np.pi * gam / r) ** (2 - n - aeg)
-    Z = np.sum(sgn_g * ph_e * sins * W)
-    val = pref * Z
-    # error model: the term count prod 2 alpha_j = 2^n A of the unfactored sum
-    return InvariantResult(complex(val), r, "cs11", None, _tol(r, 2**n * A))
+    # is reduced exactly: e.numerator gam^2 can pass 2^63 at any r.  Reduced
+    # first and after each factor gam, it stays below 2 den_e r, in int64 where
+    # that fits and in Python ints where it does not
+    den_e = [2 * r * e.denominator for r in levels]
+    if 2 * den_e[-1] * levels[-1] < 2**63:
+        mod = spread([2 * d for d in den_e], size)
+        num_e = spread([e.numerator % (2 * d) for d in den_e], size) * gam % mod * gam % mod
+    else:
+        num_e = [e.numerator * g * g % (2 * d) for r, d in zip(levels, den_e) for g in range(1, r)]
+    den = spread([float(d) for d in den_e], size)
+    ph_e = np.exp(1j * math.pi * np.array(num_e, dtype=float) / den)
+    sins = np.sin(np.pi * gam / rr) ** (2 - len(pairs) - aeg)
+    terms = sgn_g * ph_e * sins * W
+    return [terms[i:j].sum() for i, j in itertools.pairwise(starts)]
+
+
+def _cs11_gauss(u: np.ndarray, q: np.ndarray | int, alpha: int) -> np.ndarray:
+    """G(u; q) = sum_{0 <= m < alpha} exp(-2 pi i (u m + q m^2) / alpha) at
+    each entry of u, with q one value or one per entry, summed over m in
+    blocks of at most CS11_BLOCK phases (one m when there are more entries)."""
+    step = max(1, CS11_BLOCK // len(u))
+    # each phase is a residue mod alpha: with no more residues than rows, exp
+    # is taken once per residue and looked up
+    roots = np.exp(-2j * math.pi / alpha * np.arange(alpha)) if alpha <= len(u) else None
+    G = 0
+    for m0 in range(0, alpha, step):
+        m = np.arange(m0, min(m0 + step, alpha))
+        # u m + q m^2 = (u + q m) m
+        qm = (q[:, None] if isinstance(q, np.ndarray) else q) * m % alpha
+        ph = (u[:, None] + qm) % alpha * m % alpha
+        terms = np.exp(-2j * math.pi / alpha * ph) if roots is None else roots[ph]
+        G = G + terms.sum(axis=-1)
+    return G
 
 
 @functools.lru_cache(maxsize=1)
@@ -328,12 +443,29 @@ def _compact_exact(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[SL2Z, ...]
 
 
 def tau_compact(r: int, data: SeifertData) -> InvariantResult:
-    """Gauss-sum product evaluation, sl2 datum only, no continued fractions.
+    """Gauss-sum product evaluation at level r, sl2 datum only:
+    tau_compact_sweep at the one level."""
+    return _single(tau_compact_sweep((r,), data))
+
+
+def tau_compact_sweep(
+    levels: tuple[int, ...], data: SeifertData
+) -> list[Entry]:
+    """Gauss-sum product evaluation at each of the ascending levels, sl2
+    datum only, no continued fractions.
 
     Each exceptional pair contributes one representation matrix built
     from any integer solution of alpha sigma - beta rho = 1; the result
     does not depend on the solution chosen.  Only its unit-label column
-    is summed: O(alpha r) per pair.
+    is summed: O(alpha r) per pair and level.  The levels are grouped by
+    their centered pairs, which fix the matrices, and each group is swept
+    in chunks of at most GAUSS_BLOCK points, 2 (r - 1) per level (one
+    level when it has more), every pair's columns over a chunk taken by
+    one call of gauss_columns.
+
+    One entry per level: the result, or the OverflowError of the first
+    level whose Gauss phases pass int64 (gauss_modulus), repeated at
+    every higher level.
     """
     pairs = data.pairs
     n = len(pairs)
@@ -341,34 +473,72 @@ def tau_compact(r: int, data: SeifertData) -> InvariantResult:
     ae = 2 if data.base == "o" else 1
     aeg = ae * g
     b = data.b if data.normalized else 0
-    e = euler_number(data)
-    es = sign(e)
-    w = w_phase(r)
-    # the value has period 4 r alpha in beta at fixed sign(e), which is read
-    # from the data as given: the centered residue makes it exactly periodic
-    # and keeps phis, the exponent of w, small.  It depends on r, so the exact
-    # stage is keyed on the centered pairs
-    centered = tuple(
-        (alpha, (beta + 2 * r * alpha) % (4 * r * alpha) - 2 * r * alpha) for alpha, beta in pairs
-    )
-    mats, phis = _compact_exact(centered)
-    cols = np.ones(r - 1, dtype=complex)
+    # sign(e) of e = -(b + sum beta / alpha), over the common denominator prod alpha > 0
+    A = math.prod(alpha for alpha, _ in pairs)
+    es = -sign((data.b or 0) * A + sum(beta * (A // alpha) for alpha, beta in pairs))
+    stop: list[OverflowError] = []
+    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for i, r in enumerate(levels):
+        try:
+            for alpha, _ in pairs:
+                gauss_modulus(r, alpha)
+        except OverflowError as exc:
+            stop = [exc] * (len(levels) - i)
+            break
+        # the value has period 4 r alpha in beta at fixed sign(e), which is read
+        # from the data as given: the centered residue makes it exactly periodic
+        # and keeps phis, the exponent of w, small.  It depends on r, so the exact
+        # stage is keyed on the centered pairs
+        centered = tuple(
+            (alpha, (beta + 2 * r * alpha) % (4 * r * alpha) - 2 * r * alpha)
+            for alpha, beta in pairs
+        )
+        groups.setdefault(centered, []).append(r)
+    found: dict[int, InvariantResult] = {}
+    for centered, group in groups.items():
+        mats, phis = _compact_exact(centered)
+        lo = 0
+        while lo < len(group):
+            hi, points = lo + 1, 2 * (group[lo] - 1)
+            while hi < len(group) and points + 2 * (group[hi] - 1) <= GAUSS_BLOCK:
+                points += 2 * (group[hi] - 1)
+                hi += 1
+            chunk = group[lo:hi]
+            sums = _compact_sums(chunk, mats, b, aeg)
+            for r, z in zip(chunk, sums):
+                pref = (
+                    (-1) ** aeg
+                    * w_phase(r) ** ((phis - 3 * (ae - 1) * es + 4 * r) % (8 * r) - 4 * r)
+                    * cmath.exp(1j * math.pi * ((b + 2 * r) % (4 * r) - 2 * r) / (2 * r))
+                )
+                found[r] = InvariantResult(complex(pref * z), r, "compact", None, _tol(r, n * r))
+            lo = hi
+    return [found[r] for r in levels[: len(levels) - len(stop)]] + stop
+
+
+def _compact_sums(levels: list[int], mats: tuple[SL2Z, ...], b: int, aeg: int) -> list[complex]:
+    """The j sum of tau_compact at each of the ascending levels of one
+    chunk, as one array of (level, j) entries summed level by level."""
+    size = [r - 1 for r in levels]
+    starts = list(itertools.accumulate(size, initial=0))
+
+    def spread(values: list):
+        """One value per level at each of its entries; at one level, the value."""
+        return values[0] if len(size) == 1 else np.repeat(values, size)
+
+    rr = spread(levels)
+    j = np.arange(1, starts[-1] + 1) - spread(starts[:-1])
+    cols = np.ones(starts[-1], dtype=complex)
     for N in mats:
-        cols = cols * r_rep_gauss(N, r, (0,))[:, 0]
-    j = np.arange(1, r)
-    xi1 = np.sqrt(2.0 / r) * np.sin(np.pi * j / r)
+        cols = cols * gauss_columns(N, levels, (0,))
+    xi1 = np.sqrt(2.0 / rr) * np.sin(np.pi * j / rr)
     sgn_j = np.where((j * aeg) % 2 == 1, -1.0, 1.0)
     # w has order 8r and exp(i pi b / 2r) period 4r in b: the integer exponents
     # are reduced first, to centered residues so that small ones stay as they are
-    tpow = np.exp(1j * math.pi * ((-b % (4 * r) * j * j) % (4 * r)) / (2 * r))
-    summand = sgn_j * tpow * cols * xi1 ** (2 - n - aeg)
-    pref = (
-        (-1) ** aeg
-        * w ** ((phis - 3 * (ae - 1) * es + 4 * r) % (8 * r) - 4 * r)
-        * cmath.exp(1j * math.pi * ((b + 2 * r) % (4 * r) - 2 * r) / (2 * r))
-    )
-    val = pref * np.sum(summand)
-    return InvariantResult(complex(val), r, "compact", None, _tol(r, n * r))
+    nb = spread([-b % (4 * r) for r in levels])
+    tpow = np.exp(1j * math.pi * ((nb * j * j) % (4 * rr)) / (2 * rr))
+    terms = sgn_j * tpow * cols * xi1 ** (2 - len(mats) - aeg)
+    return [terms[i:k].sum() for i, k in itertools.pairwise(starts)]
 
 
 @functools.lru_cache(maxsize=1)
@@ -520,25 +690,52 @@ def _datum(r: int, datum: ModularDatum | None) -> ModularDatum:
     return sl2_datum(r) if datum is None else datum
 
 
-def _level(name: str, r: int, datum: ModularDatum | None) -> int:
-    """r for an sl2 closed form, which depends on the level alone."""
-    if datum is not None:
-        raise Unsupported(f"method {name!r} needs the built-in sl2 datum")
-    return r
+def _each_level(levels: tuple[int, ...], run: Callable[[int], InvariantResult]) -> list[Entry]:
+    """run(r) at each ascending level until its first refusal or overflow,
+    which then stands for that level and every higher one."""
+    out: list[Entry] = []
+    for r in levels:
+        try:
+            out.append(run(r))
+        except (ComplexityCap, Unsupported, OverflowError) as exc:
+            return out + [exc] * (len(levels) - len(out))
+    return out
 
 
-# Each adapter is run(r, datum, data), with datum the loaded datum or None for
-# the built-in one; continued fractions take the routes' default style.  A
-# route refuses what it cannot run by raising ComplexityCap or Unsupported;
-# graph_sum's caps are the defaults of tau_graph_sum.
+def _refuse_datum(name: str, levels: tuple[int, ...]) -> list[Entry]:
+    """An sl2 closed form's refusal of a loaded datum, at every level."""
+    return [Unsupported(f"method {name!r} needs the built-in sl2 datum")] * len(levels)
+
+
+# Each adapter is run(levels, datum, data), with levels ascending and datum the
+# loaded datum or None for the built-in one; continued fractions take the
+# routes' default style.  It returns one entry per level: the result, or the
+# ComplexityCap or Unsupported refusal, or the OverflowError, that the route
+# raised at that level.  A route stops at its first refusal, which stands for
+# every higher level too: each one either ignores the level (the chain caps,
+# the base checks, a loaded datum, cs11's alpha^2 bound) or grows with r
+# (graph_sum's level and term caps, compact's int64 bound (4 r |c|)^2, a float
+# power of r).  cs11 and compact sweep their numeric stage over all the levels
+# at once; the datum routes, which read one datum per level, run level by
+# level.  graph_sum's caps are the defaults of tau_graph_sum.
 # Adapters only: the routes must not share numeric code through this table,
 # since their agreement is the cross-check.  The order is the output order.
-ROUTES: dict[str, Callable[[int, ModularDatum | None, SeifertData], InvariantResult]] = {
-    "generic": lambda r, dm, data: tau_generic(_datum(r, dm), data),
-    "cs11": lambda r, dm, data: tau_cs11(_level("cs11", r, dm), data),
-    "compact": lambda r, dm, data: tau_compact(_level("compact", r, dm), data),
-    "graph_sum": lambda r, dm, data: tau_graph_sum(_datum(r, dm), data),
-    "section5": lambda r, dm, data: tau_section5(_datum(r, dm), data),
+ROUTES: dict[str, Callable[[tuple[int, ...], ModularDatum | None, SeifertData], list[Entry]]] = {
+    "generic": lambda levels, dm, data: _each_level(
+        levels, lambda r: tau_generic(_datum(r, dm), data)
+    ),
+    "cs11": lambda levels, dm, data: (
+        tau_cs11_sweep(levels, data) if dm is None else _refuse_datum("cs11", levels)
+    ),
+    "compact": lambda levels, dm, data: (
+        tau_compact_sweep(levels, data) if dm is None else _refuse_datum("compact", levels)
+    ),
+    "graph_sum": lambda levels, dm, data: _each_level(
+        levels, lambda r: tau_graph_sum(_datum(r, dm), data)
+    ),
+    "section5": lambda levels, dm, data: _each_level(
+        levels, lambda r: tau_section5(_datum(r, dm), data)
+    ),
 }
 
 

@@ -16,6 +16,7 @@ agree, which the test suite and the axioms subcommand check.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -162,7 +163,8 @@ def w_phase(r: int) -> complex:
     return cmath.exp(1j * math.pi * (r - 2) / (4 * r))
 
 
-# phases per block of r_rep_gauss: bounds its memory whatever |c|
+# phases per block of a Gauss sum in gauss_columns, and points per chunk of
+# compact's level sweep: bounds their memory whatever |c| and however many levels
 GAUSS_BLOCK = 2**14
 
 
@@ -215,71 +217,129 @@ def r_rep_gauss(
     """Representation matrix entrywise through a finite Gauss sum.
 
     Only the given columns (0-based, all by default) are summed, as an
-    (r - 1) x len(columns) array.  Entry (j, k) sums, over the 2 |c|
-    shifts g = j + 2 r n mu, mu exp(i pi (a g^2 - 2 mu g k + d k^2) / 2rc).
-    With g split out, the n sum is the Gauss sum
+    (r - 1) x len(columns) array, by gauss_columns at the one level r.
+    Needs c != 0 (raises ValueError otherwise).  Identical for mat and
+    -mat.  OverflowError when (4 r |c|)^2 passes 2^63.
+    """
+    cols = range(r - 1) if columns is None else columns
+    return gauss_columns(mat, (r,), cols).reshape(len(cols), r - 1).T
+
+
+def gauss_modulus(r: int, c: int) -> int:
+    """4 r |c|, the modulus of the Gauss-sum phases at level r.
+
+    Every int64 intermediate of gauss_columns stays below its square:
+    OverflowError when that passes 2^63, which happens from some level on.
+    """
+    mod = 4 * r * abs(c)
+    if mod * mod >= 2**63:
+        raise OverflowError(f"int64 Gauss phase overflow at r = {r}, c = {c}")
+    return mod
+
+
+def gauss_columns(mat: SL2Z, levels: Sequence[int], columns: Sequence[int]) -> np.ndarray:
+    """Columns of the Gauss-sum representation of mat at ascending levels.
+
+    For each level r in turn and each given column (0-based) at that
+    level, the r - 1 entries of that column, all concatenated and summed
+    as one array: the kernel of r_rep_gauss (one level) and of compact's
+    level sweep (one column).  Entry (j, k) at level r sums, over the
+    2 |c| shifts g = j + 2 r n mu, mu exp(i pi (a g^2 - 2 mu g k + d k^2) /
+    2rc).  With g split out, the n sum is the Gauss sum
     H(u) = sum_n exp(2 pi i (u n + a r n^2) / c) at u = a mu j - k mod |c|,
-    so each column takes 2 (r - 1) phases of the (j, mu) points times H
-    there.  H is tabulated once on all |c| residues when there are fewer
-    of them than points, else summed at each column's points in blocks of
-    at most GAUSS_BLOCK phases (one n when 2 (r - 1) is larger): work is
-    O(r + |c| min(|c|, r)) per column, memory bounded by the block
-    whatever |c|.  Needs c != 0 (raises ValueError otherwise).  Identical
-    for mat and -mat.  Phases are exact residues mod 4 r |c| (mod |c| in
-    H), each product reduced in turn, so every int64 intermediate stays
-    below (4 r |c|)^2; OverflowError when that passes 2^63.
+    so a column takes 2 (r - 1) phases of the (j, mu) points times H
+    there.  H depends on r through a r mod |c| alone.  At the levels with
+    fewer residues |c| than points it is tabulated on all residues, once
+    per value of a r mod |c| that occurs, and summed at the points of the
+    other, lower levels; either way in blocks of at most GAUSS_BLOCK
+    phases (one n when there are more rows), so work is
+    O(r + |c| min(|c|, r)) per column and memory bounded by the points
+    asked for and the block.  Phases are exact residues mod 4 r |c| (mod
+    |c| in H), each product reduced in turn, so every int64 intermediate
+    stays below (4 r |c|)^2 (gauss_modulus).  Needs c != 0 (raises
+    ValueError otherwise).
     """
     c = mat.c
     if c == 0:
         raise ValueError(f"{mat.rows()} is upper triangular; use r_rep_word")
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
+    if list(levels) != sorted(levels):
+        raise ValueError(f"levels must ascend, got {tuple(levels)}")
+    cc = abs(c)
     # exp(-i pi phi / 4) has period 8 in phi; the centered residue keeps small phi
     phi = (rademacher_phi(mat) + 4) % 8 - 4
-    jj = np.arange(1, r, dtype=np.int64)
-    labels = range(1, r)
-    kk = labels if columns is None else [labels[i] for i in columns]
-    cc = abs(c)
-    mod = 4 * r * cc
-    if mod * mod >= 2**63:
-        raise OverflowError(f"int64 Gauss phase overflow at r = {r}, c = {c}")
-    a, d = mat.a % mod, mat.d % mod
-    ar = a * r % cc
-
-    def gauss(u: np.ndarray) -> np.ndarray:
-        """H at each residue of u, summed over n in blocks."""
-        step = max(1, GAUSS_BLOCK // len(u))
-        out = 0
-        for n0 in range(0, cc, step):
-            n = np.arange(n0, min(n0 + step, cc), dtype=np.int64)
-            # u n + a r n^2 = (u + a r n) n, below 2 |c|^2 before the last reduction
-            ph = (u[:, None] + ar * n % cc) * n % cc
-            out = out + np.exp(2j * math.pi / c * ph).sum(axis=1)
-        return out
-
+    rot = cmath.exp(-1j * math.pi * phi / 4)
+    # one request per (level, column): its size r - 1, then what its entries
+    # share: 4 r |c|, the label k, a and d k^2 mod 4 r |c|, the phase scale,
+    # the prefactor and a r mod |c|
+    reqs = []
+    for r in levels:
+        if r < 2:
+            raise ValueError(f"need r >= 2, got {r}")
+        mod = gauss_modulus(r, c)
+        scale = 1j * math.pi / (2 * r * c)
+        pref = 1j * sign(c) / math.sqrt(2 * r * cc) * rot
+        for i in columns:
+            k = range(1, r)[i]
+            dk = mat.d % mod * k % mod * k % mod
+            reqs.append((r - 1, mod, k, mat.a % mod, dk, scale, pref, mat.a * r % cc))
+    if not reqs:
+        return np.empty(0, dtype=complex)
+    size, *_, qs = zip(*reqs)
+    starts = list(itertools.accumulate(size, initial=0))
+    if len(reqs) == 1:
+        _, M, K, A, dk, scale, pref, _ = reqs[0]
+        j = np.arange(1, size[0] + 1)
+    else:
+        M, K, A, dk = np.array([x[1:5] for x in reqs]).repeat(size, axis=0).T
+        scale, pref = np.array([x[5:7] for x in reqs]).repeat(size, axis=0).T
+        j = np.arange(1, starts[-1] + 1) - np.repeat(starts[:-1], size)
     # the points s = mu j, mu = 1 in row 0 and -1 in row 1: a s^2 mod 4 r |c|,
-    # with the sign mu folded in as half a period, mod / 2, and a s mod |c|
-    s = np.array((jj, -jj))
-    base = a * s % mod * s % mod
-    base[1] += mod // 2
-    a_s = a % cc * s
-    table = gauss(np.arange(cc, dtype=np.int64)) if cc < 2 * (r - 1) else None
-    scale = 1j * math.pi / (2 * r * c)
-    total = np.empty((r - 1, len(kk)), dtype=complex)
-    for i, k in enumerate(kk):
-        if table is None:
-            h = gauss(((a_s - k) % cc).ravel()).reshape(a_s.shape)
-        else:
-            h = table.take(a_s - k, mode="wrap")
-        ph = (base - 2 * k * s + d * k % mod * k % mod) % mod
-        total[:, i] = (np.exp(scale * ph) * h).sum(axis=0)
-    pref = (
-        1j
-        * sign(c)
-        / math.sqrt(2 * r * abs(c))
-        * cmath.exp(-1j * math.pi * phi / 4)
-    )
-    return pref * total
+    # with the sign mu folded in as half a period, mod / 2
+    s = np.array((j, -j))
+    base = A * s % M * s % M
+    base[1] += M // 2
+    ph = (base - 2 * K * s + dk) % M
+    # H at u = a s - k mod |c| for q = a r mod |c|: summed at the points of
+    # the first p requests, whose levels have no more points than |c|
+    # residues, and tabulated on all residues at the others, one table per
+    # value of q
+    u = (mat.a % cc * s - K) % cc
+    p = sum(cc >= 2 * k for k in size)
+    npts = starts[p]
+    slots = list(dict.fromkeys(qs[p:]))
+    at = u[:, npts:]
+    if len(slots) > 1:
+        at = at + np.repeat([cc * slots.index(q) for q in qs[p:]], size[p:])
+    rows = np.arange(cc * len(slots)) % cc
+    q = slots[0] if len(slots) == 1 else np.repeat(slots, cc)
+    if p:
+        rows = np.concatenate((rows, u[:, :npts].ravel()))
+        qp = np.repeat(qs[:p], size[:p])
+        q = np.concatenate((np.repeat(np.array(slots, dtype=np.int64), cc), qp, qp))
+        pts = cc * len(slots) + np.arange(2 * npts).reshape(2, npts)
+        at = np.concatenate((pts, at), axis=1)
+    h = _gauss_h(rows, q, c)[at]
+    return pref * (np.exp(scale * ph) * h).sum(axis=0)
+
+
+def _gauss_h(u: np.ndarray, q: np.ndarray | int, c: int) -> np.ndarray:
+    """H(u; q) = sum_{0 <= n < |c|} exp(2 pi i (u n + q n^2) / c) at each
+    entry of u, with q one value or one per entry, summed over n in blocks
+    of at most GAUSS_BLOCK phases (one n when there are more entries)."""
+    cc = abs(c)
+    step = max(1, GAUSS_BLOCK // len(u))
+    # each phase is a residue mod |c|: with no more residues than entries,
+    # exp is taken once per residue and looked up
+    roots = np.exp(2j * math.pi / c * np.arange(cc)) if cc <= len(u) else None
+    out = 0
+    for n0 in range(0, cc, step):
+        n = np.arange(n0, min(n0 + step, cc))
+        # u n + q n^2 = (u + q n) n, below 2 |c|^2 before the last reduction
+        qn = (q[:, None] if isinstance(q, np.ndarray) else q) * n % cc
+        ph = (u[:, None] + qn) * n % cc
+        terms = np.exp(2j * math.pi / c * ph) if roots is None else roots[ph]
+        out = out + terms.sum(axis=-1)
+    return out
 
 
 def datum_to_dict(datum: ModularDatum) -> dict:

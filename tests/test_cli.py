@@ -15,13 +15,14 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import seifert_rt
-from seifert_rt import cli, invariants
+from seifert_rt import cli, invariants, modular
 from seifert_rt.cli import f15, main, parse_r_spec, random_seifert
 from seifert_rt.invariants import ROUTES
 from seifert_rt.modular import save_datum, sl2_datum
@@ -233,6 +234,11 @@ def test_generic_chain_cap_exits_3_fast(capsys):
     assert code == 3
     assert out == ""
     assert err == f"error: generic chain length exceeds cap {invariants.CHAIN_CAP}\n"
+    # its refusal at the first level ends generic's sweep over all 398
+    t0 = time.perf_counter()
+    argv = ["compute", long_chain, "--r", "3..400", "--method", "generic"]
+    assert run_cli(capsys, argv)[::2] == (3, err)
+    assert time.perf_counter() - t0 < 1.0
     code, out, _ = run_cli(capsys, ["compute", long_chain, "--r", "5", "--format", "json"])
     assert code == 0
     rows = json.loads(out)
@@ -333,6 +339,53 @@ def test_auto_graph_sum_within_caps(capsys):
     assert "graph_sum" not in auto_route_names("o;g=0;b=0;10/9", "--r", "3")
 
 
+@pytest.mark.parametrize(
+    "text, levels",
+    # graph_sum refuses 6^8 terms from r = 7 on, and r > 10 for the other
+    [("o;g=0;b=-1;4/3,5/4", [3, 4, 5, 6]), ("o;g=0;b=-1;3/2,5/3", list(range(3, 11)))],
+)
+def test_auto_sweep_keeps_graph_sum_below_its_refusal(capsys, text, levels):
+    code, out, _ = run_cli(capsys, ["compute", text, "--r", "3..14", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["r"] for row in rows if row["method"] == "graph_sum"] == levels
+    assert [row["r"] for row in rows if row["method"] == "cs11"] == list(range(3, 15))
+
+
+# presentation, --method and the start of stderr: the first exception of the
+# walk over (level, route), whatever level each route stops at
+NAMED_REFUSALS = [
+    # graph_sum refuses its term cap at r = 7; generic never refuses
+    ("o;g=0;b=-1;4/3,5/4", "graph_sum,generic", "error: 6^8 terms exceed cap 500000\n"),
+    ("o;g=0;b=-1;4/3,5/4", "generic,graph_sum", "error: 6^8 terms exceed cap 500000\n"),
+    # generic overflows D^(2g - 2) at r = 6, a level below graph_sum's refusal
+    ("o;g=287;b=-1;4/3,5/4", "graph_sum,generic", "error: generic at r = 6: "),
+    ("o;g=287;b=-1;4/3,5/4", "generic,graph_sum", "error: generic at r = 6: "),
+    # both overflow at r = 6: the method order decides
+    ("o;g=290;b=-1;4/3,5/4", "graph_sum,generic", "error: graph_sum at r = 6: "),
+    ("o;g=290;b=-1;4/3,5/4", "generic,graph_sum", "error: generic at r = 6: "),
+]
+
+
+@pytest.mark.parametrize("text, methods, message", NAMED_REFUSALS)
+def test_named_methods_raise_the_first_exception_of_the_walk(capsys, text, methods, message):
+    code, out, err = run_cli(capsys, ["compute", text, "--r", "3..14", "--method", methods])
+    assert (code, out) == (3, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_compute_exits_3_when_every_route_refuses(capsys, tmp_path):
+    """With a loaded datum, generic refuses the 10001 digits of 2/20001 as
+    given, cs11 and compact refuse the datum, graph_sum and section5 the
+    base: auto raises the first route's refusal (it printed no row and
+    crashed with an IndexError)."""
+    path = tmp_path / "d5.json"
+    save_datum(sl2_datum(5), str(path))
+    code, out, err = run_cli(capsys, ["compute", "nn:n;g=1;2/20001", "--datum", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"error: generic chain length exceeds cap {invariants.CHAIN_CAP}\n"
+
+
 def test_auto_mixed_with_methods_is_unknown(capsys):
     code, _, err = run_cli(
         capsys, ["compute", POINCARE, "--r", "3", "--method", "auto,generic"]
@@ -420,9 +473,11 @@ def test_impossible_tolerance_fails(capsys, argv, marker):
 def nan_at_level_3(route):
     """route, except that its value at r = 3 is nan."""
 
-    def run(r, dm, data):
-        res = route(r, dm, data)
-        return replace(res, value=complex(math.nan)) if res.r == 3 else res
+    def run(levels, dm, data):
+        return [
+            replace(res, value=complex(math.nan)) if res.r == 3 else res
+            for res in route(levels, dm, data)
+        ]
 
     return run
 
@@ -658,6 +713,25 @@ def test_auto_with_datum_file_skips_refusing_routes(capsys, tmp_path, text, meth
     code, out, _ = run_cli(capsys, ["compute", text, "--datum", str(path), "--format", "json"])
     assert code == 0
     assert [rec["method"] for rec in json.loads(out)] == methods
+
+
+def test_level_sweep_stays_bounded_in_memory(capsys):
+    """cs11 and compact over r = 3..1000, about 500 000 (level, point)
+    entries, taken in chunks of at most CS11_BLOCK and GAUSS_BLOCK points.
+    The traced peak, output included, stays below 32 complex arrays of a
+    block (8.4 MB); with both blocks unbounded it was 128 MB."""
+    argv = ["compute", "o;g=0;b=-1;17/5,16/3,15/2", "--r", "3..1000", "--method", "cs11,compact"]
+    cli.build_parser()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 * 998
+    assert peak < 32 * 16 * max(invariants.CS11_BLOCK, modular.GAUSS_BLOCK), peak
 
 
 def test_level_only_routes_build_no_datum(capsys, monkeypatch):

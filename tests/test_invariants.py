@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from seifert_rt import invariants
 from seifert_rt.invariants import (
+    ROUTES,
     ComplexityCap,
     InvariantResult,
     Unsupported,
@@ -322,6 +323,18 @@ def test_cs11_and_compact_agree_on_huge_slopes(text):
     data = parse_seifert(text)
     ours, other = tau_cs11(5, data), tau_compact(5, data)
     assert abs(ours.value - other.value) <= ours.tolerance_estimate + other.tolerance_estimate
+
+
+def test_cs11_reduces_a_wide_euler_denominator_exactly():
+    """Six fibers near 1000 give e a 60-bit denominator, so the numerators
+    of e gam^2 mod 4 r den(e) pass int64 and cs11 reduces them in Python
+    ints, over a sweep as at one level.  With b near 2^59 the phase is
+    lost unless they are reduced; cs11 still agrees with compact."""
+    data = parse_seifert("o;g=1;b=768614336404564650;1009/2,1013/5,1019/3,1021/4,1031/6,1033/7")
+    assert 4 * 3 * 3 * euler_number(data).denominator >= 2**63
+    for res in invariants.tau_cs11_sweep((3, 4, 5, 6), data):
+        other = tau_compact(res.r, data)
+        assert abs(res.value - other.value) <= 1e-13 * max(1.0, abs(other.value)), res.r
 
 
 @pytest.mark.parametrize(
@@ -791,6 +804,52 @@ def test_warm_exact_stages_give_bit_identical_values(order):
     # that both misses and hits of each one-entry cache occur
     for call in order + sorted(order, key=lambda c: (c[1], c[0], c[3], c[2])):
         assert _route_call(*call) == cold[call], call
+
+
+@given(data=small_seifert(), lo=st.integers(3, 16), width=st.integers(1, 8))
+# cs11 sums G at the points below r = 4 (alpha 5) or 5 (alpha 6, 7) and
+# tabulates it above
+@example(data=SeifertData("o", 0, None, ((5, 2), (6, 1), (7, 3))), lo=3, width=8)
+# compact's centered pair 2/25 is 2/1 at r = 3, 2/-7 at r = 4 and 2/-15 at r = 5
+@example(data=parse_seifert("nn:o;g=2;2/25,3/1"), lo=3, width=3)
+# 2 (r - 1) points per level make three chunks of r = 3..200
+@example(data=parse_seifert("n;g=1;b=2;7/3,5/2"), lo=3, width=198)
+@settings(max_examples=40, deadline=None)
+def test_sweep_equals_single_levels(data, lo, width):
+    """Every route's adapter over a window of levels gives, at each level,
+    what it gives at that level alone: the same value to 1e-14 max(1, |tau|)
+    (only a sum blocked differently may move it), or a refusal of the same
+    kind, since a refusal stands for every higher level."""
+    levels = tuple(range(lo, lo + width))
+    for name, route in ROUTES.items():
+        sweep = route(levels, None, data)
+        assert len(sweep) == len(levels), name
+        for r, got in zip(levels, sweep):
+            (want,) = route((r,), None, data)
+            if isinstance(want, Exception):
+                assert type(got) is type(want), (name, r, got, want)
+                continue
+            assert (got.r, got.method, got.sigma_used) == (r, name, want.sigma_used)
+            assert got.tolerance_estimate == want.tolerance_estimate
+            assert abs(got.value - want.value) <= 1e-14 * max(1.0, abs(want.value)), (name, r)
+
+
+def test_sweeps_need_ascending_levels():
+    with pytest.raises(ValueError, match="ascend"):
+        invariants.tau_cs11_sweep((5, 4), POINCARE)
+
+
+def test_a_refusal_stands_for_every_higher_level():
+    """graph_sum refuses its term cap at r = 7 and its level cap from
+    r = 11 on: its sweep stops at the first refusal and repeats it.  A
+    chain cap ends generic's sweep at its first level."""
+    sweep = ROUTES["graph_sum"](tuple(range(5, 13)), None, parse_seifert("o;g=0;b=-1;4/3,5/4"))
+    assert [type(e).__name__ for e in sweep] == ["InvariantResult"] * 2 + ["ComplexityCap"] * 6
+    assert all(e is sweep[2] for e in sweep[2:])
+    assert str(sweep[2]) == "6^8 terms exceed cap 500000"
+    sweep = ROUTES["generic"]((3, 4, 5), None, parse_seifert("nn:o;g=0;2/20003"))
+    cap = invariants.CHAIN_CAP
+    assert [str(e) for e in sweep] == [f"generic chain length exceeds cap {cap}"] * 3
 
 
 def test_nonorientable_base_unsupported_routes():

@@ -18,6 +18,7 @@ from seifert_rt.modular import (
     datum_from_dict,
     datum_to_dict,
     g_matrix,
+    gauss_columns,
     load_datum,
     mirror_datum,
     r_rep_gauss,
@@ -242,6 +243,33 @@ def test_gauss_blocks_match_shift_loop(mat, r, picks):
     to sums at the points."""
     picked = [p % (r - 1) for p in picks]
     assert np.max(np.abs(r_rep_gauss(mat, r, picked) - gauss_loop(mat, r, picked))) <= 1e-13
+
+
+@given(
+    mat=sl2z_lower_nonzero(c_max=200),
+    lo=st.integers(2, 40),
+    width=st.integers(1, 8),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+)
+# |c| = 37 against 2 (r - 1) = 32..42: the lower levels sum H at their
+# points, the others tabulate it, with four values of a r mod |c|
+@example(mat=SL2Z(2, 1, 37, 19), lo=17, width=6, picks=[0, 3])
+# |c| = 197 against 2 (r - 1) = 194..198: points at r = 98, 99 and a table at
+# r = 100, 587 rows of H summed over n in eight blocks
+@example(mat=SL2Z(3, 1, 197, 66), lo=98, width=3, picks=[5])
+@settings(max_examples=60, deadline=None)
+def test_gauss_columns_over_levels_match_shift_loop(mat, lo, width, picks):
+    """The kernel swept over several levels equals, level by level and
+    column by column, the per-shift loop at each level."""
+    levels = tuple(range(lo, lo + width))
+    picked = [p % (lo - 1) for p in picks]
+    want = np.concatenate([gauss_loop(mat, r, picked).T.ravel() for r in levels])
+    assert np.max(np.abs(gauss_columns(mat, levels, picked) - want)) <= 1e-13
+
+
+def test_gauss_columns_need_ascending_levels():
+    with pytest.raises(ValueError, match="ascend"):
+        gauss_columns(SL2Z(2, 1, 37, 19), (5, 4), (0,))
 
 
 # --------------------------------------------------------- representation
