@@ -206,7 +206,10 @@ def _generic_exact(
     """
     chains = _capped_chains("generic", _drop_trivial(data.pairs), cf_style, CHAIN_CAP)
     tables = [convergents(c) for c in chains]
-    return tuple(chains), sigma_closed_form(data.base, sign(euler_number(data)), tables)
+    # sign(e) of e = -(b + sum beta / alpha), over the common denominator prod alpha > 0
+    A = math.prod(alpha for alpha, _ in data.pairs)
+    es = -sign((data.b or 0) * A + sum(beta * (A // alpha) for alpha, beta in data.pairs))
+    return tuple(chains), sigma_closed_form(data.base, es, tables)
 
 
 def tau_generic(
@@ -226,11 +229,9 @@ def tau_generic(
     mtot = sum(map(len, chains))
     g = data.genus
     orientable = data.base == "o"
-    nl = datum.n_labels
-    e0 = np.eye(1, nl, dtype=complex)[0]
-    col = np.ones(nl, dtype=complex)
+    col = np.ones(datum.n_labels, dtype=complex)
     for digits in chains:
-        col *= datum.S @ g_matrix(datum, digits, e0)
+        col *= datum.S @ g_matrix(datum, digits)
     aeg = 2 * g if orientable else g
     if orientable:
         lab = datum.dims ** (2 - n - aeg)
@@ -530,7 +531,7 @@ def _compact_sums(levels: list[int], mats: tuple[SL2Z, ...], b: int, aeg: int) -
     j = np.arange(1, starts[-1] + 1) - spread(starts[:-1])
     cols = np.ones(starts[-1], dtype=complex)
     for N in mats:
-        cols = cols * gauss_columns(N, levels, (0,))
+        cols = cols * gauss_columns(N, levels)
     xi1 = np.sqrt(2.0 / rr) * np.sin(np.pi * j / rr)
     sgn_j = np.where((j * aeg) % 2 == 1, -1.0, 1.0)
     # w has order 8r and exp(i pi b / 2r) period 4r in b: the integer exponents
@@ -643,7 +644,10 @@ def _section5_exact(
     chains = _capped_chains("section5", mm.pairs, cf_style, CHAIN_CAP)
     if b != 0:
         chains.append((-b, 0))
-        mu = n - 1 - sign(b) * sign(euler_number(mm))
+        # sign(e) of e = -(b + sum beta / alpha), over the common denominator prod alpha > 0
+        A = math.prod(alpha for alpha, _ in mm.pairs)
+        es = -sign(b * A + sum(beta * (A // alpha) for alpha, beta in mm.pairs))
+        mu = n - 1 - sign(b) * es
     else:
         mu = n - 1
     return mm.genus, tuple(chains), mu + sum(map(defect, chains))
@@ -670,8 +674,7 @@ def tau_section5(
         return InvariantResult(complex(val), r, "section5", 0, _tol(r, 1))
 
     # each chain applied to the unit label, its digits scaled by 1/D
-    e0 = np.eye(1, nl, dtype=complex)[0]
-    cols = [datum.S @ g_matrix(datum, digits, e0) for digits in chains]
+    cols = [datum.S @ g_matrix(datum, digits) for digits in chains]
     mtot = sum(map(len, chains))
     n_comp = len(chains)
     prod = np.ones(nl, dtype=complex)
@@ -760,7 +763,7 @@ def tau_lens_routes(
         # U = +-Theta^(q b), whose unit-label entry Theta_1^(q b) is w^(-q b)
         entry, phi = 1, phi - q * U.b
     else:
-        entry = r_rep_gauss(U, r, (0,))[0, 0]
+        entry = r_rep_gauss(U, r)[0]
     # w has order 8r
     v1 = w_phase(r) ** ((phi + 4 * r) % (8 * r) - 4 * r) * entry
 
@@ -768,7 +771,7 @@ def tau_lens_routes(
     table = convergents(entries)
     sigma = sum(sign(bm.a * bm.c) for bm in table.matrices[:-1])
     # the chain applied to e_0, each digit scaled by 1/D
-    col = g_matrix(datum, entries, np.eye(1, datum.n_labels, dtype=complex)[0])
+    col = g_matrix(datum, entries)
     v2 = (datum.delta / datum.D) ** sigma * col[0]
     return complex(v1), complex(v2), sigma
 

@@ -9,8 +9,12 @@ other datum can be loaded from JSON.
 The representation carried by S and the twists is evaluated two
 independent ways: as a word in the generator matrices read off a
 continued fraction decomposition, and entrywise through a finite Gauss
-sum (defined whenever the lower-left entry is nonzero).  Both ways must
-agree, which the test suite and the axioms subcommand check.
+sum (defined whenever the lower-left entry is nonzero).  The test suite
+checks that both agree; the axioms subcommand checks the datum axioms and
+the generator relations of r_rep_generators.  The numeric routes read only
+the unit-label column of a representation matrix, so the chain kernel
+g_matrix and the Gauss kernel gauss_columns compute that column alone;
+r_rep_word stays whole, as the reference.
 """
 
 from __future__ import annotations
@@ -141,20 +145,17 @@ def check_axioms(datum: ModularDatum) -> dict[str, float]:
     return out
 
 
-def g_matrix(
-    datum: ModularDatum, entries: Sequence[int], start: np.ndarray | None = None
-) -> np.ndarray:
-    """T^{a_n} (S/D) ... T^{a_1} (S/D) start for digits (a_1, ..., a_n).
+def g_matrix(datum: ModularDatum, entries: Sequence[int]) -> np.ndarray:
+    """T^{a_n} (S/D) ... T^{a_1} (S/D) e_0 for digits (a_1, ..., a_n).
 
-    T = diag(v) and start is a vector or a matrix, the identity by
-    default.  Each digit costs one product with S: O(n^2) on a vector,
-    O(n^3) on a matrix.  S/D is unitary, so the scale stays put however
-    long the chain; 1/D rides on the twists instead of rebuilding S/D.
+    T = diag(v) and e_0 is the unit label: the unit-label column of the
+    chain, one product of S with a vector per digit, O(n^2) each.  S/D is
+    unitary, so the scale stays put however long the chain; 1/D rides on
+    the twists instead of rebuilding S/D.
     """
-    G = np.eye(datum.n_labels, dtype=complex) if start is None else start
+    G = np.eye(1, datum.n_labels, dtype=complex)[0]
     for a in entries:
-        # scale the rows of S @ G; the transposes let G be a vector
-        G = (datum.v**a / datum.D * (datum.S @ G).T).T
+        G = datum.v**a / datum.D * (datum.S @ G)
     return G
 
 
@@ -211,18 +212,14 @@ def r_rep_word(mat: SL2Z, r: int) -> np.ndarray:
     return out
 
 
-def r_rep_gauss(
-    mat: SL2Z, r: int, columns: Sequence[int] | None = None
-) -> np.ndarray:
-    """Representation matrix entrywise through a finite Gauss sum.
+def r_rep_gauss(mat: SL2Z, r: int) -> np.ndarray:
+    """Unit-label column of the representation matrix through a finite
+    Gauss sum: gauss_columns at the one level r, its r - 1 entries.
 
-    Only the given columns (0-based, all by default) are summed, as an
-    (r - 1) x len(columns) array, by gauss_columns at the one level r.
     Needs c != 0 (raises ValueError otherwise).  Identical for mat and
     -mat.  OverflowError when (4 r |c|)^2 passes 2^63.
     """
-    cols = range(r - 1) if columns is None else columns
-    return gauss_columns(mat, (r,), cols).reshape(len(cols), r - 1).T
+    return gauss_columns(mat, (r,))
 
 
 def gauss_modulus(r: int, c: int) -> int:
@@ -237,27 +234,27 @@ def gauss_modulus(r: int, c: int) -> int:
     return mod
 
 
-def gauss_columns(mat: SL2Z, levels: Sequence[int], columns: Sequence[int]) -> np.ndarray:
-    """Columns of the Gauss-sum representation of mat at ascending levels.
+def gauss_columns(mat: SL2Z, levels: Sequence[int]) -> np.ndarray:
+    """Unit-label columns of the Gauss-sum representation of mat at
+    ascending levels.
 
-    For each level r in turn and each given column (0-based) at that
-    level, the r - 1 entries of that column, all concatenated and summed
-    as one array: the kernel of r_rep_gauss (one level) and of compact's
-    level sweep (one column).  Entry (j, k) at level r sums, over the
-    2 |c| shifts g = j + 2 r n mu, mu exp(i pi (a g^2 - 2 mu g k + d k^2) /
-    2rc).  With g split out, the n sum is the Gauss sum
-    H(u) = sum_n exp(2 pi i (u n + a r n^2) / c) at u = a mu j - k mod |c|,
-    so a column takes 2 (r - 1) phases of the (j, mu) points times H
-    there.  H depends on r through a r mod |c| alone.  At the levels with
-    fewer residues |c| than points it is tabulated on all residues, once
-    per value of a r mod |c| that occurs, and summed at the points of the
-    other, lower levels; either way in blocks of at most GAUSS_BLOCK
-    phases (one n when there are more rows), so work is
-    O(r + |c| min(|c|, r)) per column and memory bounded by the points
-    asked for and the block.  Phases are exact residues mod 4 r |c| (mod
-    |c| in H), each product reduced in turn, so every int64 intermediate
-    stays below (4 r |c|)^2 (gauss_modulus).  Needs c != 0 (raises
-    ValueError otherwise).
+    For each level r in turn, the r - 1 entries of the unit-label column
+    (label k = 1) at that level, all concatenated and summed as one array:
+    the kernel of r_rep_gauss (one level) and of compact's level sweep.
+    Entry j at level r sums, over the 2 |c| shifts g = j + 2 r n mu,
+    mu exp(i pi (a g^2 - 2 mu g + d) / 2rc).  With g split out, the n sum
+    is the Gauss sum H(u) = sum_n exp(2 pi i (u n + a r n^2) / c) at
+    u = a mu j - 1 mod |c|, so a level takes 2 (r - 1) phases of the
+    (j, mu) points times H there.  H depends on r through a r mod |c|
+    alone.  At the levels with fewer residues |c| than points it is
+    tabulated on all residues, once per value of a r mod |c| that occurs,
+    and summed at the points of the other, lower levels; either way in
+    blocks of at most GAUSS_BLOCK phases (one n when there are more rows),
+    so work is O(r + |c| min(|c|, r)) per level and memory bounded by the
+    points asked for and the block.  Phases are exact residues mod 4 r |c|
+    (mod |c| in H), each product reduced in turn, so every int64
+    intermediate stays below (4 r |c|)^2 (gauss_modulus).  Needs c != 0
+    (raises ValueError otherwise).
     """
     c = mat.c
     if c == 0:
@@ -268,9 +265,8 @@ def gauss_columns(mat: SL2Z, levels: Sequence[int], columns: Sequence[int]) -> n
     # exp(-i pi phi / 4) has period 8 in phi; the centered residue keeps small phi
     phi = (rademacher_phi(mat) + 4) % 8 - 4
     rot = cmath.exp(-1j * math.pi * phi / 4)
-    # one request per (level, column): its size r - 1, then what its entries
-    # share: 4 r |c|, the label k, a and d k^2 mod 4 r |c|, the phase scale,
-    # the prefactor and a r mod |c|
+    # one request per level: its size r - 1, then what its entries share:
+    # 4 r |c|, a and d mod 4 r |c|, the phase scale, the prefactor and a r mod |c|
     reqs = []
     for r in levels:
         if r < 2:
@@ -278,33 +274,29 @@ def gauss_columns(mat: SL2Z, levels: Sequence[int], columns: Sequence[int]) -> n
         mod = gauss_modulus(r, c)
         scale = 1j * math.pi / (2 * r * c)
         pref = 1j * sign(c) / math.sqrt(2 * r * cc) * rot
-        for i in columns:
-            k = range(1, r)[i]
-            dk = mat.d % mod * k % mod * k % mod
-            reqs.append((r - 1, mod, k, mat.a % mod, dk, scale, pref, mat.a * r % cc))
+        reqs.append((r - 1, mod, mat.a % mod, mat.d % mod, scale, pref, mat.a * r % cc))
     if not reqs:
         return np.empty(0, dtype=complex)
     size, *_, qs = zip(*reqs)
     starts = list(itertools.accumulate(size, initial=0))
     if len(reqs) == 1:
-        _, M, K, A, dk, scale, pref, _ = reqs[0]
+        _, M, A, D, scale, pref, _ = reqs[0]
         j = np.arange(1, size[0] + 1)
     else:
-        M, K, A, dk = np.array([x[1:5] for x in reqs]).repeat(size, axis=0).T
-        scale, pref = np.array([x[5:7] for x in reqs]).repeat(size, axis=0).T
+        M, A, D = np.array([x[1:4] for x in reqs]).repeat(size, axis=0).T
+        scale, pref = np.array([x[4:6] for x in reqs]).repeat(size, axis=0).T
         j = np.arange(1, starts[-1] + 1) - np.repeat(starts[:-1], size)
     # the points s = mu j, mu = 1 in row 0 and -1 in row 1: a s^2 mod 4 r |c|,
     # with the sign mu folded in as half a period, mod / 2
     s = np.array((j, -j))
     base = A * s % M * s % M
     base[1] += M // 2
-    ph = (base - 2 * K * s + dk) % M
-    # H at u = a s - k mod |c| for q = a r mod |c|: summed at the points of
-    # the first p requests, whose levels have no more points than |c|
-    # residues, and tabulated on all residues at the others, one table per
-    # value of q
-    u = (mat.a % cc * s - K) % cc
-    p = sum(cc >= 2 * k for k in size)
+    ph = (base - 2 * s + D) % M
+    # H at u = a s - 1 mod |c| for q = a r mod |c|: summed at the points of
+    # the first p levels, which have no more points than |c| residues, and
+    # tabulated on all residues at the others, one table per value of q
+    u = (mat.a % cc * s - 1) % cc
+    p = sum(cc >= 2 * n for n in size)
     npts = starts[p]
     slots = list(dict.fromkeys(qs[p:]))
     at = u[:, npts:]

@@ -244,7 +244,7 @@ def test_criterion_07_representation_suite():
     for r in (3, 5, 8, 13, 20):
         for _ in range(50):
             m = random_bounded_matrix(rng)
-            gap = np.max(np.abs(r_rep_gauss(m, r) - r_rep_word(m, r)))
+            gap = np.max(np.abs(r_rep_gauss(m, r) - r_rep_word(m, r)[:, 0]))
             worst_pair = max(worst_pair, float(gap))
     worst_rel = 0.0
     for r in range(2, 21):

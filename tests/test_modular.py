@@ -1,5 +1,5 @@
 """Tests for the numeric category data and the two matrix representation
-routes (word decomposition versus entrywise Gauss sums)."""
+routes (word decomposition versus the Gauss-sum unit-label column)."""
 
 from __future__ import annotations
 
@@ -142,17 +142,15 @@ def test_mirror_datum():
 
 def test_g_matrix_base_cases():
     d = sl2_datum(5)
-    assert np.allclose(g_matrix(d, ()), np.eye(4), atol=1e-14)
-    assert np.allclose(g_matrix(d, (0,)), d.S / d.D, atol=1e-14)
     e0 = np.eye(1, 4, dtype=complex)[0]
-    assert np.array_equal(g_matrix(d, (), e0), e0)
-    assert np.allclose(g_matrix(d, (0,), e0), d.S[:, 0] / d.D, atol=1e-14)
+    assert np.array_equal(g_matrix(d, ()), e0)
+    assert np.allclose(g_matrix(d, (0,)), d.S[:, 0] / d.D, atol=1e-14)
 
 
 @pytest.mark.parametrize("r", [3, 5, 8])
 def test_g_matrix_matches_representation(r):
-    """diag(v)-and-S/D chain products equal the unit-phase representation
-    rescaled by w per digit-unit."""
+    """diag(v)-and-S/D chains on the unit label equal the unit-label column
+    of the unit-phase representation rescaled by w per digit-unit."""
     rng = random.Random(r)
     d = sl2_datum(r)
     w = w_phase(r)
@@ -161,23 +159,17 @@ def test_g_matrix_matches_representation(r):
         G = g_matrix(d, word)
         R = r_rep_word(b_matrix(word), r)
         scale = w ** sum(word)
-        assert np.max(np.abs(G - scale * R)) < 1e-11, word
+        assert np.max(np.abs(G - scale * R[:, 0])) < 1e-11, word
 
 
-@given(
-    word=st.lists(st.integers(-6, 6), min_size=1, max_size=12),
-    r=st.integers(2, 40),
-    label=st.data(),
-)
+@given(word=st.lists(st.integers(-6, 6), min_size=1, max_size=12), r=st.integers(2, 40))
 @settings(max_examples=150, deadline=None)
-def test_g_matrix_column_matches_full_chain(word, r, label):
-    """The chain applied to a unit vector is that column of the matrix."""
-    d = sl2_datum(r)
-    k = label.draw(st.integers(0, r - 2))
-    ek = np.eye(1, r - 1, k, dtype=complex)[0]
-    full = g_matrix(d, word)
-    assert np.max(np.abs(g_matrix(d, word, ek) - full[:, k])) <= 1e-13
-    assert np.max(np.abs(g_matrix(d, word, full) - g_matrix(d, word + word))) <= 1e-13
+def test_g_matrix_column_matches_full_chain(word, r):
+    """The chain on the unit label is column 0 of the whole chain matrix,
+    taken as a word in the generators, rescaled by w per digit-unit."""
+    full = r_rep_word(b_matrix(tuple(word)), r)
+    G = g_matrix(sl2_datum(r), word)
+    assert np.max(np.abs(G - w_phase(r) ** sum(word) * full[:, 0])) < 1e-11
 
 
 @st.composite
@@ -190,86 +182,73 @@ def sl2z_lower_nonzero(draw, c_max=60):
     return SL2Z(a, (a * d - 1) // c, c, d)
 
 
-@given(mat=sl2z_lower_nonzero(), r=st.integers(2, 40), cols=st.data())
+@given(mat=sl2z_lower_nonzero(), r=st.integers(2, 40))
 @settings(max_examples=150, deadline=None)
-def test_gauss_columns_match_full_matrix(mat, r, cols):
-    """Summing only some columns gives those columns of the full matrix."""
-    picked = cols.draw(st.lists(st.integers(0, r - 2), min_size=1, max_size=3))
-    full = r_rep_gauss(mat, r)
-    part = r_rep_gauss(mat, r, picked)
-    assert part.shape == (r - 1, len(picked))
-    assert np.max(np.abs(part - full[:, picked])) <= 1e-13
+def test_gauss_columns_match_full_matrix(mat, r):
+    """The Gauss-sum unit column is column 0 of the whole representation
+    matrix, taken as a word in the generators."""
+    col = r_rep_gauss(mat, r)
+    assert col.shape == (r - 1,)
+    assert np.max(np.abs(col - r_rep_word(mat, r)[:, 0])) < 1e-10
 
 
-def gauss_loop(mat, r, columns):
-    """Reference: those columns of the Gauss sum, one shift
-    g = j + 2 r n mu at a time, with the sign mu a factor of each term."""
+def gauss_loop(mat, r):
+    """Reference: the whole Gauss-sum matrix, one shift g = j + 2 r n mu
+    at a time, with the sign mu a factor of each term."""
     c = mat.c
     phi = (rademacher_phi(mat) + 4) % 8 - 4
     jj = np.arange(1, r, dtype=np.int64)
-    kk = jj[list(columns)]
     mod = 4 * r * abs(c)
     a, d = mat.a % mod, mat.d % mod
-    dkk = d * kk % mod * kk % mod
-    total = np.zeros((r - 1, len(kk)), dtype=complex)
+    djj = d * jj % mod * jj % mod
+    total = np.zeros((r - 1, r - 1), dtype=complex)
     for mu in (1, -1):
         for n in range(abs(c)):
             g = jj + 2 * r * n * mu
-            num = (a * g % mod * g % mod)[:, None] - 2 * mu * np.outer(g, kk) + dkk[None, :]
+            num = (a * g % mod * g % mod)[:, None] - 2 * mu * np.outer(g, jj) + djj[None, :]
             total += mu * np.exp((1j * math.pi / (2 * r * c)) * (num % mod))
     pref = 1j * sign(c) / math.sqrt(2 * r * abs(c)) * cmath.exp(-1j * math.pi * phi / 4)
     return pref * total
 
 
-@given(
-    mat=sl2z_lower_nonzero(c_max=1500),
-    r=st.integers(2, 40),
-    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
-)
-# 2 (r - 1) = 78 points times |c| = 1499 shifts n: 116922 phases per column,
-# eight blocks of 210 n
-@example(mat=SL2Z(2, 1, 1499, 750), r=40, picks=[0, 17, 38])
-# |c| = 2 (r - 1) - 1, 2 (r - 1) and 2 (r - 1) + 1: below the points H is
-# tabulated on all residues, from there on summed at each column's points
-@example(mat=SL2Z(2, 1, 37, 19), r=20, picks=[0, 5, 18])
-@example(mat=SL2Z(3, 1, 38, 13), r=20, picks=[0, 11, 18])
-@example(mat=SL2Z(-3, -1, -38, -13), r=20, picks=[0, 7])
-@example(mat=SL2Z(2, 1, 39, 20), r=20, picks=[0, 3, 18])
+@given(mat=sl2z_lower_nonzero(c_max=1500), r=st.integers(2, 40))
+# 2 (r - 1) = 78 points times |c| = 1499 shifts n: 116922 phases, summed at
+# the points in eight blocks of 210 n
+@example(mat=SL2Z(2, 1, 1499, 750), r=40)
+# |c| = 2 (r - 1) - 1, 2 (r - 1) and 2 (r - 1) + 1: below the 38 points H is
+# tabulated on all residues, from there on summed at the points
+@example(mat=SL2Z(2, 1, 37, 19), r=20)
+@example(mat=SL2Z(3, 1, 38, 13), r=20)
+@example(mat=SL2Z(-3, -1, -38, -13), r=20)
+@example(mat=SL2Z(2, 1, 39, 20), r=20)
 @settings(max_examples=60, deadline=None)
-def test_gauss_blocks_match_shift_loop(mat, r, picks):
-    """The blocked kernel matches the per-shift loop on any columns,
+def test_gauss_blocks_match_shift_loop(mat, r):
+    """The blocked kernel matches column 0 of the per-shift loop,
     including |c| whose shifts span several blocks and |c| on either side
     of the 2 (r - 1) points, where the kernel switches from a table of H
     to sums at the points."""
-    picked = [p % (r - 1) for p in picks]
-    assert np.max(np.abs(r_rep_gauss(mat, r, picked) - gauss_loop(mat, r, picked))) <= 1e-13
+    assert np.max(np.abs(r_rep_gauss(mat, r) - gauss_loop(mat, r)[:, 0])) <= 1e-13
 
 
-@given(
-    mat=sl2z_lower_nonzero(c_max=200),
-    lo=st.integers(2, 40),
-    width=st.integers(1, 8),
-    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
-)
-# |c| = 37 against 2 (r - 1) = 32..42: the lower levels sum H at their
-# points, the others tabulate it, with four values of a r mod |c|
-@example(mat=SL2Z(2, 1, 37, 19), lo=17, width=6, picks=[0, 3])
+@given(mat=sl2z_lower_nonzero(c_max=200), lo=st.integers(2, 40), width=st.integers(1, 8))
+# |c| = 37 against 2 (r - 1) = 32..42: r = 17, 18, 19 sum H at their points,
+# r = 20, 21, 22 tabulate it, with three values 3, 5, 7 of a r mod |c|
+@example(mat=SL2Z(2, 1, 37, 19), lo=17, width=6)
 # |c| = 197 against 2 (r - 1) = 194..198: points at r = 98, 99 and a table at
-# r = 100, 587 rows of H summed over n in eight blocks
-@example(mat=SL2Z(3, 1, 197, 66), lo=98, width=3, picks=[5])
+# r = 100, 587 rows of H summed over n in eight blocks of 27
+@example(mat=SL2Z(3, 1, 197, 66), lo=98, width=3)
 @settings(max_examples=60, deadline=None)
-def test_gauss_columns_over_levels_match_shift_loop(mat, lo, width, picks):
-    """The kernel swept over several levels equals, level by level and
-    column by column, the per-shift loop at each level."""
+def test_gauss_columns_over_levels_match_shift_loop(mat, lo, width):
+    """The kernel swept over several levels equals, level by level,
+    column 0 of the per-shift loop at each level."""
     levels = tuple(range(lo, lo + width))
-    picked = [p % (lo - 1) for p in picks]
-    want = np.concatenate([gauss_loop(mat, r, picked).T.ravel() for r in levels])
-    assert np.max(np.abs(gauss_columns(mat, levels, picked) - want)) <= 1e-13
+    want = np.concatenate([gauss_loop(mat, r)[:, 0] for r in levels])
+    assert np.max(np.abs(gauss_columns(mat, levels) - want)) <= 1e-13
 
 
 def test_gauss_columns_need_ascending_levels():
     with pytest.raises(ValueError, match="ascend"):
-        gauss_columns(SL2Z(2, 1, 37, 19), (5, 4), (0,))
+        gauss_columns(SL2Z(2, 1, 37, 19), (5, 4))
 
 
 # --------------------------------------------------------- representation
@@ -319,7 +298,7 @@ def test_word_route_matches_gauss_route(r):
             continue
         a = r_rep_word(m, r)
         g = r_rep_gauss(m, r)
-        assert np.max(np.abs(a - g)) < 1e-10, (word, m.rows())
+        assert np.max(np.abs(a[:, 0] - g)) < 1e-10, (word, m.rows())
         assert np.max(np.abs(r_rep_gauss(-m, r) - g)) < 1e-10
         checked += 1
 
