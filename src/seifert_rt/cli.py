@@ -127,14 +127,18 @@ def run_routes(
     """The requested methods at each of the ascending levels, one row per
     level, each row in method order.
 
-    Each route runs once over all the levels, when the walk over (level,
-    route) first reaches it.  "auto" tries every route of ROUTES and skips
-    one that refuses its base, its datum or its cost at a level; where
-    every route refuses, the first route's refusal is raised.  A method
-    named explicitly lets its refusal propagate: the first in the walk.
+    Every name is checked before any route runs.  Each route runs once
+    over all the levels, when the walk over (level, route) first reaches
+    it.  "auto" tries every route of ROUTES and skips one that refuses its
+    base, its datum or its cost at a level; where every route refuses, the
+    first route's refusal is raised.  A method named explicitly lets its
+    refusal propagate: the first in the walk.
     """
     auto = methods == ("auto",)
     names = tuple(ROUTES) if auto else methods
+    for name in names:
+        if name not in ROUTES:
+            raise ValueError(f"unknown method {name!r}")
     sweeps: dict[str, list[Entry]] = {}
     rows = []
     for i, r in enumerate(levels):
@@ -142,10 +146,7 @@ def run_routes(
         refusals = []
         for name in names:
             if name not in sweeps:
-                route = ROUTES.get(name)
-                if route is None:
-                    raise ValueError(f"unknown method {name!r}")
-                sweeps[name] = route(levels, datum, data)
+                sweeps[name] = ROUTES[name](levels, datum, data)
             try:
                 row.append(evaluate(name, r, sweeps[name][i]))
             except (ComplexityCap, Unsupported) as exc:

@@ -59,7 +59,6 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -77,16 +76,15 @@ from .modular import (
 from .seifert import (
     LensSpace,
     SeifertData,
-    euler_number,
     first_betti,
     normalize,
 )
 from .sl2z import (
     SL2Z,
+    _dedekind_12q,
     cf_digits,
     cf_expand,
     convergents,
-    dedekind_sum,
     ext_gcd,
     linking_matrix,
     rademacher_phi,
@@ -249,20 +247,20 @@ def tau_generic(
 
 
 @functools.lru_cache(maxsize=1)
-def _cs11_exact(data: SeifertData) -> tuple[Fraction, int, int, Fraction, tuple[int, ...]]:
-    """Exact stage of tau_cs11: the Euler number e, sign(e), A = prod
-    alpha_j, the Dedekind phase x and each fiber's inverse bstar of beta
-    mod alpha."""
+def _cs11_exact(data: SeifertData) -> tuple[tuple[int, int], int, int, int, tuple[int, ...]]:
+    """Exact stage of tau_cs11, in integers: e as its reduced numerator and
+    denominator, sign(e), A = prod alpha_j, X = x A for the Dedekind phase
+    x = 3 (ae - 1) sign(e) - e - 12 sum_j s(beta_j, alpha_j), and each
+    fiber's inverse bstar of beta mod alpha."""
     ae = 2 if data.base == "o" else 1
-    e = euler_number(data)
-    es = sign(e)
+    # e A = -(b A + sum beta A / alpha), over the common denominator A = prod alpha > 0
     A = math.prod(alpha for alpha, _ in data.pairs)
-    dsum = Fraction(0)
-    for alpha, beta in data.pairs:
-        dsum += dedekind_sum(beta, alpha)
-    x = Fraction(3 * (ae - 1) * es) - e - 12 * dsum
+    eA = -((data.b or 0) * A + sum(beta * (A // alpha) for alpha, beta in data.pairs))
+    g = math.gcd(eA, A)
+    # 12 s(beta, alpha) A = _dedekind_12q(beta, alpha) A / alpha
+    dsum = sum(_dedekind_12q(beta, alpha) * (A // alpha) for alpha, beta in data.pairs)
     bstars = tuple(0 if a == 1 else pow(beta % a, -1, a) for a, beta in data.pairs)
-    return e, es, A, x, bstars
+    return (eA // g, A // g), sign(eA), A, 3 * (ae - 1) * sign(eA) * A - eA - dsum, bstars
 
 
 def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
@@ -293,8 +291,8 @@ def tau_cs11_sweep(
     the 2 alpha (r - 1) of the whole grid.
 
     One entry per level: the result, or the OverflowError of the first
-    level that overflows (a float power of r, or alpha^2 past int64),
-    repeated at every higher level.
+    level that overflows, repeated at every higher level (a float power of
+    r; alpha^2 past int64 does not depend on r and refuses every level).
     """
     pairs = data.pairs
     n = len(pairs)
@@ -303,20 +301,18 @@ def tau_cs11_sweep(
     aeg = ae * g
     if list(levels) != sorted(levels):
         raise ValueError(f"levels must ascend, got {tuple(levels)}")
-    e, es, A, x, bstars = _cs11_exact(data)
+    e, es, A, X, bstars = _cs11_exact(data)
+    wide = next((alpha for alpha, _ in pairs if alpha * alpha >= 2**63), None)
+    if wide is not None and levels:
+        return [OverflowError(f"int64 phase overflow at r = {levels[0]}, alpha = {wide}")] * len(levels)
     prefs = []
     for r in levels:
         try:
-            # x mod 4r as the float of an exact quotient of integers, which is
-            # what float() of the Fraction computes, without Fraction arithmetic
-            xr = x.numerator % (4 * r * x.denominator) / x.denominator
+            xr = X % (4 * r * A) / A
             pref = cmath.exp(1j * math.pi * xr / (2 * r))
             pref *= (-1) ** aeg * 1j**n * r ** (aeg / 2 - 1) / 2 ** (n + aeg / 2 - 1)
             pref /= math.sqrt(A)
             pref *= cmath.exp(1j * 3 * math.pi * (1 - ae) * es / 4)
-            for alpha, _ in pairs:
-                if alpha * alpha >= 2**63:
-                    raise OverflowError(f"int64 phase overflow at r = {r}, alpha = {alpha}")
         except OverflowError as exc:
             stop = [exc] * (len(levels) - len(prefs))
             break
@@ -342,7 +338,7 @@ def _cs11_sums(
     levels: tuple[int, ...],
     pairs: tuple[tuple[int, int], ...],
     bstars: tuple[int, ...],
-    e: Fraction,
+    e: tuple[int, int],
     aeg: int,
 ) -> list[complex]:
     """The gamma sum Z of tau_cs11 at each of the ascending levels of one
@@ -392,15 +388,16 @@ def _cs11_sums(
 
     sgn_g = np.where((gam * aeg) % 2 == 1, -1.0, 1.0)
     # exp(i pi e gam^2 / 2r) has period 2 den_e in the numerator of e, which
-    # is reduced exactly: e.numerator gam^2 can pass 2^63 at any r.  Reduced
+    # is reduced exactly: e_num gam^2 can pass 2^63 at any r.  Reduced
     # first and after each factor gam, it stays below 2 den_e r, in int64 where
     # that fits and in Python ints where it does not
-    den_e = [2 * r * e.denominator for r in levels]
+    e_num, e_den = e
+    den_e = [2 * r * e_den for r in levels]
     if 2 * den_e[-1] * levels[-1] < 2**63:
         mod = spread([2 * d for d in den_e], size)
-        num_e = spread([e.numerator % (2 * d) for d in den_e], size) * gam % mod * gam % mod
+        num_e = spread([e_num % (2 * d) for d in den_e], size) * gam % mod * gam % mod
     else:
-        num_e = [e.numerator * g * g % (2 * d) for r, d in zip(levels, den_e) for g in range(1, r)]
+        num_e = [e_num * g * g % (2 * d) for r, d in zip(levels, den_e) for g in range(1, r)]
     den = spread([float(d) for d in den_e], size)
     ph_e = np.exp(1j * math.pi * np.array(num_e, dtype=float) / den)
     sins = np.sin(np.pi * gam / rr) ** (2 - len(pairs) - aeg)

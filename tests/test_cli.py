@@ -278,7 +278,7 @@ def test_graph_sum_chain_cap_exits_3_fast(capsys):
     assert err == "error: graph_sum chain length exceeds cap 8\n"
 
 
-EXACT_FUNCTIONS = ("dedekind_sum", "convergents", "signature_exact")
+EXACT_FUNCTIONS = ("_dedekind_12q", "convergents", "signature_exact")
 
 
 @pytest.mark.parametrize("presentation", [POINCARE, "nn:o;g=1;3/-7,5/11,1/4"])
@@ -392,6 +392,18 @@ def test_auto_mixed_with_methods_is_unknown(capsys):
     )
     assert code == 2
     assert "unknown method 'auto'" in err
+
+
+def test_unknown_method_is_refused_before_any_route_runs(capsys, monkeypatch):
+    """A name that is no route exits 2 before the routes named ahead of it
+    run, here a generic sweep of 298 levels."""
+
+    def never(levels, datum, data):
+        raise AssertionError("generic ran before the unknown method was refused")
+
+    monkeypatch.setitem(invariants.ROUTES, "generic", never)
+    argv = ["compute", POINCARE, "--r", "3..300", "--method", "generic,bogus"]
+    assert run_cli(capsys, argv) == (2, "", "error: unknown method 'bogus'\n")
 
 
 def test_lens_direct_only_via_lens(capsys, tmp_path):

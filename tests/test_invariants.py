@@ -337,6 +337,51 @@ def test_cs11_reduces_a_wide_euler_denominator_exactly():
         assert abs(res.value - other.value) <= 1e-13 * max(1.0, abs(other.value)), res.r
 
 
+@st.composite
+def wide_seifert(draw):
+    """Both bases and shapes, genus 0..2, 0..6 fibers with alpha <= 1100,
+    b and the unnormalized slopes up to 2^62 in absolute value."""
+    base = draw(st.sampled_from(("o", "n")))
+    genus = draw(st.integers(1 if base == "n" else 0, 2))
+    normalized = draw(st.booleans())
+    wide = st.integers(-(2**62), 2**62)
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        alpha = draw(st.integers(2 if normalized else 1, 1100))
+        betas = st.integers(1, alpha - 1) if normalized else wide
+        pairs.append((alpha, draw(betas.filter(lambda x, a=alpha: math.gcd(x, a) == 1))))
+    return SeifertData(base, genus, draw(wide) if normalized else None, tuple(pairs))
+
+
+@given(data=wide_seifert())
+@settings(max_examples=150, deadline=None)
+def test_cs11_exact_stage_is_the_fraction_formulas_in_integers(data):
+    """cs11's exact stage holds only ints: e as its reduced numerator and
+    denominator, and the Dedekind phase x as X = x A, read mod 4r as
+    X mod 4 r A over A, which is float(x mod 4r) bit for bit."""
+    (num, den), es, A, X, bstars = invariants._cs11_exact(data)
+    assert all(type(v) is int for v in (num, den, es, A, X, *bstars))
+    e = euler_number(data)
+    assert (num, den, es) == (e.numerator, e.denominator, sign(e))
+    assert A == math.prod(alpha for alpha, _ in data.pairs)
+    ae = 2 if data.base == "o" else 1
+    dsum = sum((dedekind_sum(beta, alpha) for alpha, beta in data.pairs), Fraction(0))
+    x = Fraction(3 * (ae - 1) * sign(e)) - e - 12 * dsum
+    assert Fraction(X, A) == x
+    for r in range(2, 401):
+        assert X % (4 * r * A) / A == float(x % (4 * r)), r
+
+
+def test_single_level_calls_raise_their_overflow():
+    """tau_cs11 and tau_compact raise the OverflowError that their sweep
+    enters at the one level: alpha^2 and (4 r alpha)^2 pass int64."""
+    data = parse_seifert("o;g=0;b=-1;3037000501/1")
+    with pytest.raises(OverflowError, match="int64 phase overflow at r = 3, alpha = 3037000501"):
+        tau_cs11(3, data)
+    with pytest.raises(OverflowError, match="int64 Gauss phase overflow at r = 3, c = 3037000501"):
+        tau_compact(3, data)
+
+
 @pytest.mark.parametrize(
     "text", ["o;g=0;b=-1;97/5,101/7,103/9", "n;g=1;b=2;97/5,101/7,103/9"]
 )

@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -356,6 +357,36 @@ def test_signature_exact_matches_eigenvalues(n, seed):
     eig = np.linalg.eigvalsh(mat.astype(float))
     assert sig == int(np.sum(eig > 1e-8) - np.sum(eig < -1e-8))
     assert nul == int(np.sum(np.abs(eig) <= 1e-8))
+
+
+def test_signature_exact_splits_a_hyperbolic_pair_off_a_larger_matrix():
+    # a zero diagonal leaves no pivot: a hyperbolic pair splits off and the
+    # remaining rows are updated
+    klein = linking_matrix(SeifertData("n", 2, -4, ()), ())
+    assert all(klein[i][i] == 0 for i in range(len(klein)))
+    assert signature_exact(klein) == (0, 1)
+    assert signature_exact(((0, 1, 2), (1, 0, 3), (2, 3, 0))) == (-1, 0)
+
+
+@st.composite
+def zero_diagonal_symmetric(draw):
+    n = draw(st.integers(3, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    upper = draw(st.lists(st.integers(-4, 4), min_size=len(pairs), max_size=len(pairs)))
+    mat = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(pairs, upper):
+        mat[i][j] = mat[j][i] = x
+    return tuple(map(tuple, mat))
+
+
+@given(mat=zero_diagonal_symmetric())
+@settings(max_examples=100, deadline=None)
+def test_signature_exact_matches_mpmath_on_zero_diagonals(mat):
+    """Signs of the eigenvalues at 50 digits, below 1e-30 counted as zero."""
+    with mpmath.workdps(50):
+        eig, _ = mpmath.eigsy(mpmath.matrix(mat))
+        signs = [0 if abs(x) < mpmath.mpf("1e-30") else int(mpmath.sign(x)) for x in eig]
+    assert signature_exact(mat) == (sum(signs), signs.count(0))
 
 
 def test_sigma_closed_form_validation():
