@@ -20,15 +20,17 @@ Dedekind sums, Rademacher phi, signatures.  It runs once per
 presentation: functools.lru_cache(maxsize=1) keeps the last result,
 which holds only what the numeric stage reads.  The numeric stage reads
 that result.  generic, graph_sum and section5 read one datum per level
-and run it level by level.  cs11 and compact depend on the level alone
+and run it level by level, raising the refusals that read no datum
+before the datum is built.  cs11 and compact depend on the level alone
 and run it once per request, over all the requested levels as one array
-of (level, point) entries, in chunks of at most CS11_BLOCK or
-GAUSS_BLOCK points (tau_cs11_sweep, tau_compact_sweep; tau_cs11 and
-tau_compact are their calls at one level).  compact keys its exact
-stage on the pairs centered mod 4 r alpha, since that reduction depends
-on r, and groups its levels by them.  graph_sum splits its exact stage
-in two, its chains (with its chain cap) and then, once its level and
-term caps pass, the plumbing block.  No exact stage is shared between routes; generic, section5 and
+of (level, point) entries, in chunks of at most CS11_BLOCK points and
+table entries per fiber or GAUSS_BLOCK points (tau_cs11_sweep,
+tau_compact_sweep; tau_cs11 and tau_compact are their calls at one
+level).  compact keys its exact stage on the pairs centered mod 4 r
+alpha, since that reduction depends on r, and groups its levels by
+them.  graph_sum splits its exact stage in two, its chains (with its
+chain cap) and then, once its level and term caps pass, the plumbing
+block.  No exact stage is shared between routes; generic, section5 and
 graph_sum take their chain digits through one capped expansion,
 _capped_chains, each with its own cap.  cs11 and compact read no digits.
 
@@ -52,7 +54,6 @@ index j - 1), and t = exp(i pi / 2r).
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import itertools
@@ -93,9 +94,10 @@ from .sl2z import (
     signature_exact,
 )
 
-# points (gamma, mu) per chunk of cs11's level sweep, 2 (r - 1) per level, and
-# phases per block of a fiber's Gauss sums: bounds its memory whatever alpha
-# and however many levels
+# cs11's switch and bound: a fiber of order up to CS11_BLOCK has its Gauss sums
+# tabulated by one FFT per level, a larger one summed at the points in blocks
+# of at most CS11_BLOCK phases, and a chunk of levels holds at most CS11_BLOCK
+# points and table entries per fiber, whatever alpha and however many levels
 CS11_BLOCK = 2**14
 # digits of all of a chain route's chains together (generic, section5): each
 # costs a convergent matrix once and a product with S per level.  At the cap
@@ -278,17 +280,16 @@ def tau_cs11_sweep(
     arithmetic before exponentiation; the only irrational inputs are the
     sine factors.  No matrices, no continued fractions.  The sum over
     (mu, m) factors into one sum per fiber, and splitting gamma out of each
-    phase leaves a Gauss sum G over m that depends on gamma + mu bstar mod
-    alpha and on bstar r mod alpha only.  The levels are swept in chunks
-    of at most CS11_BLOCK points (gamma, mu), 2 (r - 1) per level (one
-    level when it has more), each chunk one array of (level, gamma)
-    entries.  At a level with fewer alpha residues than points, G is
-    tabulated on all residues, once per value of bstar r mod alpha in the
-    chunk; at the others it is summed at the points; either way in blocks
-    of at most CS11_BLOCK phases (one m when there are more rows), so
-    memory is bounded by the block whatever alpha and r.  Work per fiber
-    is O(r + alpha min(alpha, r)) exponentials per level, never more than
-    the 2 alpha (r - 1) of the whole grid.
+    phase leaves a Gauss sum G(u; q) over m at u = gamma + mu bstar mod
+    alpha and q = bstar r mod alpha.  Over all residues u it is the DFT of
+    the chirp exp(-2 pi i q m^2 / alpha): a fiber with alpha <= CS11_BLOCK
+    is tabulated by one FFT per level, O(r + alpha log alpha), and a
+    larger one summed at the 2 (r - 1) points in blocks of at most
+    CS11_BLOCK phases (_cs11_gauss).  The levels are swept in chunks,
+    each one array of (level, gamma) entries: a level weighs its
+    2 (r - 1) points (gamma, mu) and one row of its widest table, and a
+    chunk at most CS11_BLOCK (one level when it weighs more).  So memory
+    is bounded by the block whatever alpha and r.
 
     One entry per level: the result, or the OverflowError of the first
     level that overflows, repeated at every higher level (a float power of
@@ -319,12 +320,14 @@ def tau_cs11_sweep(
         prefs.append(pref)
     else:
         stop = []
+    # a level weighs its 2 (r - 1) points and its row of the widest table
+    table = max((alpha for alpha, _ in pairs if alpha <= CS11_BLOCK), default=0)
     out: list[Entry] = []
     lo = 0
     while lo < len(prefs):
-        hi, points = lo + 1, 2 * (levels[lo] - 1)
-        while hi < len(prefs) and points + 2 * (levels[hi] - 1) <= CS11_BLOCK:
-            points += 2 * (levels[hi] - 1)
+        hi, weight = lo + 1, 2 * (levels[lo] - 1) + table
+        while hi < len(prefs) and weight + 2 * (levels[hi] - 1) + table <= CS11_BLOCK:
+            weight += 2 * (levels[hi] - 1) + table
             hi += 1
         sums = _cs11_sums(levels[lo:hi], pairs, bstars, e, aeg)
         for r, pref, z in zip(levels[lo:hi], prefs[lo:hi], sums):
@@ -357,32 +360,22 @@ def _cs11_sums(
 
     # W(gamma) = prod_j sum_{mu, m} mu exp(i pi X_j / (r alpha_j)) with
     # X_j = -gamma mu - 2 r ((gamma + mu bstar) m + bstar r m^2): the m sum is
-    # G(u) = sum_m exp(-2 pi i (u m + bstar r m^2) / alpha) at u = gamma + mu bstar
-    # mod alpha, and the fiber sum is h G(gamma + bstar) - conj(h) G(gamma - bstar)
-    # with h = exp(-i pi gamma / (r alpha)).  Every phase of G is a residue mod
-    # alpha, each product reduced, so no int64 intermediate reaches alpha^2
+    # G(u; q) = sum_m exp(-2 pi i (u m + q m^2) / alpha) at u = gamma + mu bstar
+    # mod alpha and q = bstar r mod alpha, and the fiber sum is
+    # h G(gamma + bstar) - conj(h) G(gamma - bstar) with h = exp(-i pi gamma / (r alpha))
     W = np.ones(starts[-1], dtype=complex)
+    row = spread(range(len(levels)), size)
     for (alpha, _), bstar in zip(pairs, bstars):
-        cq = [bstar * r % alpha for r in levels]
-        # G is tabulated on all residues, one table per value of cq, at the
-        # levels with fewer residues than points, and summed at the points
-        # (gamma, +-1) of the first p levels, whose rows follow the tables
-        p = bisect.bisect_right(size, alpha // 2)
-        npts = starts[p]
-        slots = list(dict.fromkeys(cq[p:]))
+        cq = np.array([bstar * r % alpha for r in levels])
         ud = (gam + np.array(((bstar,), (-bstar,)))) % alpha
-        u = np.arange(alpha) if len(slots) == 1 else np.arange(alpha * len(slots)) % alpha
-        q = slots[0] if len(slots) == 1 else np.repeat(slots, alpha)
-        at = ud[:, npts:]
-        if len(slots) > 1:
-            at = at + spread([alpha * slots.index(c) for c in cq[p:]], size[p:])
-        if p:
-            u = np.concatenate((u, ud[:, :npts].ravel()))
-            qp = np.repeat(cq[:p], size[:p])
-            q = np.concatenate((np.repeat(np.array(slots, dtype=np.int64), alpha), qp, qp))
-            pts = alpha * len(slots) + np.arange(2 * npts).reshape(2, npts)
-            at = np.concatenate((pts, at), axis=1)
-        g = _cs11_gauss(u, q, alpha)[at]
+        if alpha <= CS11_BLOCK:
+            # G on all residues u at each level is the DFT of the chirp
+            # exp(-2 pi i q m^2 / alpha), whose phase stays below alpha^2 <= 2^28
+            m = np.arange(alpha)
+            chirp = np.exp(-2j * math.pi / alpha * (cq[:, None] * m % alpha * m % alpha))
+            g = np.fft.fft(chirp)[row, ud]
+        else:
+            g = _cs11_gauss(ud, np.repeat(cq, size), alpha)
         h = np.exp(spread([-1j * math.pi / (r * alpha) for r in levels], size) * gam)
         W *= h * g[0] - h.conj() * g[1]
 
@@ -405,22 +398,19 @@ def _cs11_sums(
     return [terms[i:j].sum() for i, j in itertools.pairwise(starts)]
 
 
-def _cs11_gauss(u: np.ndarray, q: np.ndarray | int, alpha: int) -> np.ndarray:
+def _cs11_gauss(u: np.ndarray, q: np.ndarray, alpha: int) -> np.ndarray:
     """G(u; q) = sum_{0 <= m < alpha} exp(-2 pi i (u m + q m^2) / alpha) at
-    each entry of u, with q one value or one per entry, summed over m in
-    blocks of at most CS11_BLOCK phases (one m when there are more entries)."""
-    step = max(1, CS11_BLOCK // len(u))
-    # each phase is a residue mod alpha: with no more residues than rows, exp
-    # is taken once per residue and looked up
-    roots = np.exp(-2j * math.pi / alpha * np.arange(alpha)) if alpha <= len(u) else None
+    each entry of u, with q one value per column of u, summed over m in
+    blocks of at most CS11_BLOCK phases (one m when there are more
+    entries).  Every phase is a residue mod alpha, each product reduced, so
+    no int64 intermediate reaches alpha^2."""
+    step = max(1, CS11_BLOCK // u.size)
     G = 0
     for m0 in range(0, alpha, step):
         m = np.arange(m0, min(m0 + step, alpha))
         # u m + q m^2 = (u + q m) m
-        qm = (q[:, None] if isinstance(q, np.ndarray) else q) * m % alpha
-        ph = (u[:, None] + qm) % alpha * m % alpha
-        terms = np.exp(-2j * math.pi / alpha * ph) if roots is None else roots[ph]
-        G = G + terms.sum(axis=-1)
+        ph = (u[..., None] + q[:, None] * m % alpha) % alpha * m % alpha
+        G = G + np.exp(-2j * math.pi / alpha * ph).sum(axis=-1)
     return G
 
 
@@ -563,13 +553,26 @@ def _graph_sum_exact(
     return mm.genus, B, sig, first_betti(mm) - 1 - mtot - nul - sig
 
 
+def _graph_sum_caps(
+    r: int, data: SeifertData, cf_style: str = "minus",
+    chain_cap: int = 8, r_cap: int = 10, max_terms: int = 500_000,
+) -> tuple[SeifertData, tuple[tuple[int, ...], ...]]:
+    """The refusals of tau_graph_sum at level r, in order: its base, then
+    its three complexity caps (total chain length, level, term count).
+    None reads a datum.  Returns the first exact stage, _graph_sum_chains."""
+    if data.base != "o":
+        raise Unsupported("graph state sum needs an orientable base")
+    mm, cfs = _graph_sum_chains(data, cf_style, chain_cap)
+    if r > r_cap:
+        raise ComplexityCap(f"level r = {r} exceeds cap {r_cap}")
+    mtot = 1 + sum(map(len, cfs))
+    if (r - 1) ** mtot > max_terms:
+        raise ComplexityCap(f"{r - 1}^{mtot} terms exceed cap {max_terms}")
+    return mm, cfs
+
+
 def tau_graph_sum(
-    datum: ModularDatum,
-    data: SeifertData,
-    cf_style: str = "minus",
-    chain_cap: int = 8,
-    r_cap: int = 10,
-    max_terms: int = 500_000,
+    datum: ModularDatum, data: SeifertData, cf_style: str = "minus", **caps: int
 ) -> InvariantResult:
     """Brute-force plumbing state sum (orientable base only).
 
@@ -578,20 +581,15 @@ def tau_graph_sum(
     tensor with an axis per plumbing vertex, nl^m values for m vertices
     (at most 8 MB at the default term cap), every term formed explicitly.
     Wholly independent of the chain algebra in the other routes, and
-    guarded by three complexity caps (total chain length, level, term
-    count), all checked in that order before the plumbing block is built;
-    the chain digits are taken one at a time up to the cap.
+    guarded by three complexity caps, caps being any of chain_cap (8),
+    r_cap (10) and max_terms (500 000) of _graph_sum_caps, all checked in
+    that order before the plumbing block is built; the chain digits are
+    taken one at a time up to the cap.
     """
-    if data.base != "o":
-        raise Unsupported("graph state sum needs an orientable base")
-    mm, cfs = _graph_sum_chains(data, cf_style, chain_cap)
     r = datum.n_labels + 1
-    if r > r_cap:
-        raise ComplexityCap(f"level r = {r} exceeds cap {r_cap}")
+    mm, cfs = _graph_sum_caps(r, data, cf_style, **caps)
     mtot = 1 + sum(map(len, cfs))
     nl = datum.n_labels
-    if nl**mtot > max_terms:
-        raise ComplexityCap(f"{nl}^{mtot} terms exceed cap {max_terms}")
     g, B, sig, bexp = _graph_sum_exact(mm, cfs)
 
     # one axis per plumbing vertex: term[l_0, ..., l_m-1] is the weight of
@@ -623,9 +621,11 @@ def _section5_exact(
     """Exact stage of tau_section5, from the normalized presentation: its
     genus, the chain digits of each pair followed by the central framing
     chain (-b, 0) when b is nonzero, and the framing exponent.  No chains
-    when b = 0 and there are no pairs.  At most CHAIN_CAP pair digits in
-    all (ComplexityCap beyond).
+    when b = 0 and there are no pairs.  Unsupported on a non-orientable
+    base, and at most CHAIN_CAP pair digits in all (ComplexityCap beyond).
     """
+    if data.base != "o":
+        raise Unsupported("chain decomposition needs an orientable base")
     mm = normalize(data)
     b = mm.b
     n = len(mm.pairs)
@@ -660,8 +660,6 @@ def tau_section5(
     (-b, 0) when b is nonzero, and tracks the framing exponent through
     per-chain defects (sum of digits - phi)/3 plus a Maslov-type offset.
     """
-    if data.base != "o":
-        raise Unsupported("chain decomposition needs an orientable base")
     g, chains, expo = _section5_exact(data, cf_style)
     nl = datum.n_labels
     r = nl + 1
@@ -685,18 +683,19 @@ def tau_section5(
     return InvariantResult(complex(val), r, "section5", expo, _tol(r, mtot + n_comp))
 
 
-def _datum(r: int, datum: ModularDatum | None) -> ModularDatum:
-    """The loaded datum, or the built-in sl2 datum at level r."""
-    return sl2_datum(r) if datum is None else datum
-
-
-def _each_level(levels: tuple[int, ...], run: Callable[[int], InvariantResult]) -> list[Entry]:
-    """run(r) at each ascending level until its first refusal or overflow,
-    which then stands for that level and every higher one."""
+def _each_level(
+    levels: tuple[int, ...], dm: ModularDatum | None, check: Callable[[int], object],
+    run: Callable[[ModularDatum], InvariantResult],
+) -> list[Entry]:
+    """check(r), the route's refusals that read no datum, then run on the
+    loaded datum dm or the built-in sl2 datum at r, at each ascending level
+    r until the first refusal or overflow, which then stands for that
+    level and every higher one.  So a refusal builds no datum."""
     out: list[Entry] = []
     for r in levels:
         try:
-            out.append(run(r))
+            check(r)
+            out.append(run(sl2_datum(r) if dm is None else dm))
         except (ComplexityCap, Unsupported, OverflowError) as exc:
             return out + [exc] * (len(levels) - len(out))
     return out
@@ -717,12 +716,13 @@ def _refuse_datum(name: str, levels: tuple[int, ...]) -> list[Entry]:
 # (graph_sum's level and term caps, compact's int64 bound (4 r |c|)^2, a float
 # power of r).  cs11 and compact sweep their numeric stage over all the levels
 # at once; the datum routes, which read one datum per level, run level by
-# level.  graph_sum's caps are the defaults of tau_graph_sum.
+# level, and raise the refusals that read no datum (their exact stage, or
+# graph_sum's caps at their defaults in _graph_sum_caps) before it is built.
 # Adapters only: the routes must not share numeric code through this table,
 # since their agreement is the cross-check.  The order is the output order.
 ROUTES: dict[str, Callable[[tuple[int, ...], ModularDatum | None, SeifertData], list[Entry]]] = {
     "generic": lambda levels, dm, data: _each_level(
-        levels, lambda r: tau_generic(_datum(r, dm), data)
+        levels, dm, lambda r: _generic_exact(data, "minus"), lambda d: tau_generic(d, data)
     ),
     "cs11": lambda levels, dm, data: (
         tau_cs11_sweep(levels, data) if dm is None else _refuse_datum("cs11", levels)
@@ -731,10 +731,10 @@ ROUTES: dict[str, Callable[[tuple[int, ...], ModularDatum | None, SeifertData], 
         tau_compact_sweep(levels, data) if dm is None else _refuse_datum("compact", levels)
     ),
     "graph_sum": lambda levels, dm, data: _each_level(
-        levels, lambda r: tau_graph_sum(_datum(r, dm), data)
+        levels, dm, lambda r: _graph_sum_caps(r, data), lambda d: tau_graph_sum(d, data)
     ),
     "section5": lambda levels, dm, data: _each_level(
-        levels, lambda r: tau_section5(_datum(r, dm), data)
+        levels, dm, lambda r: _section5_exact(data, "minus"), lambda d: tau_section5(d, data)
     ),
 }
 

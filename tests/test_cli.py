@@ -759,6 +759,32 @@ def test_level_only_routes_build_no_datum(capsys, monkeypatch):
     assert len(json.loads(out)) == 8
 
 
+@pytest.mark.parametrize(
+    "text, method, code, message",
+    [
+        ("n;g=1;b=1;2/1", "graph_sum", 2, "graph state sum needs an orientable base"),
+        (POINCARE, "graph_sum", 3, "level r = 4000 exceeds cap 10"),
+        ("n;g=1;b=1;2/1", "section5", 2, "chain decomposition needs an orientable base"),
+        ("nn:o;g=0;2/2000001", "generic", 3, f"generic chain length exceeds cap {invariants.CHAIN_CAP}"),
+    ],
+)
+def test_datum_routes_refuse_before_building_the_datum(capsys, text, method, code, message):
+    """A base check or cap reads no datum, so it refuses before the level's
+    datum is built: the traced peak stays far below the 256 MB of the sl2
+    datum at r = 4000, which each of these built first (121 MB at r = 2000)."""
+    cli.build_parser()
+    sl2_datum.cache_clear()
+    tracemalloc.start()
+    try:
+        got = run_cli(capsys, ["compute", text, "--r", "4000", "--method", method])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sl2_datum.cache_clear()
+    assert got == (code, "", f"error: {message}\n")
+    assert peak < 20e6, peak
+
+
 # ----------------------------------------------------------- output shape
 
 # argv, CSV header, JSON summary keys (None: a bare list of rows), and the

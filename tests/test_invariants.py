@@ -249,8 +249,11 @@ def test_cs11_matches_grid_formula(data, r):
 @st.composite
 def boundary_fibers(draw):
     """A level r and 1..2 fibers of order 2 (r - 1) - 1, 2 (r - 1) or
-    2 (r - 1) + 1, where cs11 and compact switch from tabulating each
-    fiber's Gauss sum on all residues to summing it at the 2 (r - 1) points."""
+    2 (r - 1) + 1, where compact switches from tabulating each fiber's
+    Gauss sum on all residues to summing it at the 2 (r - 1) points.  The
+    examples add cs11's switch, a fiber of order CS11_BLOCK - 1, CS11_BLOCK
+    or CS11_BLOCK + 1: up to CS11_BLOCK its Gauss sum is tabulated by one
+    FFT per level, past it summed at the points."""
     r = draw(st.integers(3, 20))
     pairs = []
     for _ in range(draw(st.integers(1, 2))):
@@ -265,6 +268,9 @@ def boundary_fibers(draw):
 @example(case=(4, SeifertData("o", 0, None, ((5, 2), (6, 1), (7, 3)))))
 @example(case=(4, SeifertData("n", 1, None, ((5, -8), (7, 16)))))
 @example(case=(11, SeifertData("o", 1, None, ((19, 7), (21, -5)))))
+@example(case=(3, SeifertData("o", 0, None, ((invariants.CS11_BLOCK - 1, 5),))))
+@example(case=(4, SeifertData("n", 1, None, ((invariants.CS11_BLOCK, -3),))))
+@example(case=(4, SeifertData("o", 1, None, ((invariants.CS11_BLOCK + 1, 7),))))
 @settings(max_examples=60, deadline=None)
 def test_gauss_sum_routes_match_grid_at_table_boundary(case):
     r, data = case
@@ -438,6 +444,35 @@ def test_cs11_mpmath_reference(text, r):
     assert abs(res.value - cs11_mpmath(r, data)) <= res.tolerance_estimate
 
 
+# Relative gate of cs11 against cs11_mpmath on the cases below: ten times the
+# largest relative error measured, rounded up (1.4e-14, on 13/10,12/11,13/10
+# at r = 92).  The first three cancel to |tau| < 1e-32 or reach |tau| = 1e3,
+# where the direct Gauss sums lost 6.8e-10, 8.3e-13 and 3.3e-13.
+CS11_REFERENCE_GATE = 2e-13
+
+
+@pytest.mark.parametrize(
+    "text, r",
+    [
+        ("o;g=2;b=-1;2/1,4/1,14/1", 35),
+        ("o;g=1;b=-3;16/3,14/9,11/1", 91),
+        ("o;g=2;b=1;20/13,13/10", 52),
+        ("n;g=1;b=-2;16/11,14/3,17/11", 71),
+        ("o;g=1;b=-3;13/10,12/11,13/10", 92),
+        ("n;g=1;b=2;7/3,11/4,13/5", 120),
+        ("o;g=0;b=-1;2/1,3/1,5/1", 200),
+        ("o;g=1;b=2;7/3,11/4,13/5", 50),
+        ("n;g=2;b=-3;5/2,7/3", 150),
+        ("o;g=2;b=0;7/3,5/2", 100),
+    ],
+)
+def test_cs11_matches_reference_relative_to_its_size(text, r):
+    data = parse_seifert(text)
+    ref = cs11_mpmath(r, data)
+    err = abs(tau_cs11(r, data).value - ref) / max(1.0, abs(ref))
+    assert err <= CS11_REFERENCE_GATE, err
+
+
 # -------------------------------------------------- column kernels, large r
 
 
@@ -487,22 +522,25 @@ def test_column_routes_stay_linear_in_memory():
 
 
 def test_wide_fiber_routes_stay_bounded_in_memory():
-    """One fiber of order 10007 at r = 100: cs11 held its whole
-    (r - 1) x 2 alpha phase grid (67 MB traced), and an unblocked Gauss
-    column takes (r - 1) x 2 alpha phases too (111 MB).  Both sum in
-    blocks, so each peaks far lower, and they still agree."""
-    data = parse_seifert("o;g=0;b=-1;10007/1")
-    results = []
-    for run in (tau_compact, tau_cs11):
-        tracemalloc.start()
-        try:
-            results.append(run(100, data))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6, (run.__name__, peak)
-    a, b = results
-    assert abs(a.value - b.value) <= a.tolerance_estimate + b.tolerance_estimate
+    """One fiber of order 10007 or 20011 at r = 100: cs11 held its whole
+    (r - 1) x 2 alpha phase grid (67 MB traced at 10007), and an unblocked
+    Gauss column takes (r - 1) x 2 alpha phases too (111 MB).  cs11
+    tabulates 10007 by one FFT of 10007 entries and sums 20011, past
+    CS11_BLOCK, at the points in blocks; compact sums both in blocks.  So
+    each peaks far lower, and they still agree."""
+    for text in ("o;g=0;b=-1;10007/1", "o;g=0;b=-1;20011/3"):
+        data = parse_seifert(text)
+        results = []
+        for run in (tau_compact, tau_cs11):
+            tracemalloc.start()
+            try:
+                results.append(run(100, data))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6, (text, run.__name__, peak)
+        a, b = results
+        assert abs(a.value - b.value) <= a.tolerance_estimate + b.tolerance_estimate, text
 
 
 def test_generic_long_chain_stays_finite():

@@ -6,8 +6,14 @@ Runs one fixed call set through ``seifert_rt.cli.main`` in one fresh
 subprocess per tree, with ``PYTHONPATH`` set to that tree, and records the
 stdout, stderr and exit code of every call.  Prints each side's sha256 over
 those records, the number of calls that differ and the first five
-differences (the argv and the first line that differs).  Exits 1 when any
-call differs, 0 otherwise.
+differences (the argv and the first line that differs).  Two summary lines
+follow: how many differing calls differ only in their numbers (the same
+exit code and stderr, and the same stdout once every number is replaced by
+one placeholder and whitespace is collapsed, so realigned text tables
+count), and, over the differing calls whose stdout is JSON, the largest
+|old - new| / max(1, |old|) per field name.  phase is left out: it is
+ill-conditioned where tau is near 0.  Exits 1 when any call differs, 0
+otherwise.
 
 The call set is two passes of each benchmark workload at seed 901, read
 from ``bench/workloads.py`` without writing anything under ``bench/``, and
@@ -25,11 +31,13 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 SEED = 901
 CS11_COMPACT = ("--method", "cs11,compact")
 FIXED_CALLS = [
@@ -117,6 +125,29 @@ def first_difference(old: list, new: list) -> tuple[str, str]:
     return (a[len(b)], "<end>") if len(a) > len(b) else ("<end>", b[len(a)])
 
 
+def numbers_only(old: list, new: list) -> bool:
+    """The same exit code and stderr, and the same stdout up to its numbers."""
+
+    def shape(text: str) -> str:
+        return " ".join(NUMBER.sub("#", text).split())
+
+    return old[1:] == new[1:] and shape(old[0]) == shape(new[0])
+
+
+def field_moves(old, new, moves: dict[str, float], field: str | None = None) -> None:
+    """Into moves, per field name but phase, the largest relative move of
+    the numbers at the same place in two JSON values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in old.keys() & new.keys() - {"phase"}:
+            field_moves(old[key], new[key], moves, key)
+    elif isinstance(old, list) and isinstance(new, list):
+        for a, b in zip(old, new):
+            field_moves(a, b, moves, field)
+    elif field is not None and all(type(v) in (int, float) for v in (old, new)):
+        move = abs(old - new) / max(1.0, abs(old))
+        moves[field] = max(moves.get(field, 0.0), move)
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--child"]:
         json.dump(run_calls(json.load(sys.stdin)), sys.stdout)
@@ -134,6 +165,15 @@ def main(argv: list[str]) -> int:
     for i in differ[:5]:
         old_line, new_line = first_difference(results[0][i], results[1][i])
         print(f"  {' '.join(calls[i])}\n    old: {old_line}\n    new: {new_line}")
+    pairs = [(results[0][i], results[1][i]) for i in differ]
+    print(f"{sum(numbers_only(old, new) for old, new in pairs)} of {len(differ)} differ only in numbers")
+    moves: dict[str, float] = {}
+    for old, new in pairs:
+        try:
+            field_moves(json.loads(old[0]), json.loads(new[0]), moves)
+        except json.JSONDecodeError:
+            pass
+    print("largest JSON moves:", ", ".join(f"{k} {v:.2g}" for k, v in sorted(moves.items())) or "none")
     return 1 if differ else 0
 
 
