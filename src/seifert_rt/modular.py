@@ -14,7 +14,9 @@ checks that both agree; the axioms subcommand checks the datum axioms and
 the generator relations of r_rep_generators.  The numeric routes read only
 the unit-label column of a representation matrix, so the chain kernel
 g_matrix and the Gauss kernel gauss_columns compute that column alone;
-r_rep_word stays whole, as the reference.
+r_rep_word stays whole, as the reference.  gauss_columns takes several
+levels at once and chooses once per call between a table of its Gauss
+sum on all residues and sums at the points, whichever has fewer entries.
 """
 
 from __future__ import annotations
@@ -246,12 +248,13 @@ def gauss_columns(mat: SL2Z, levels: Sequence[int]) -> np.ndarray:
     is the Gauss sum H(u) = sum_n exp(2 pi i (u n + a r n^2) / c) at
     u = a mu j - 1 mod |c|, so a level takes 2 (r - 1) phases of the
     (j, mu) points times H there.  H depends on r through a r mod |c|
-    alone.  At the levels with fewer residues |c| than points it is
-    tabulated on all residues, once per value of a r mod |c| that occurs,
-    and summed at the points of the other, lower levels; either way in
-    blocks of at most GAUSS_BLOCK phases (one n when there are more rows),
-    so work is O(r + |c| min(|c|, r)) per level and memory bounded by the
-    points asked for and the block.  Phases are exact residues mod 4 r |c|
+    alone.  The call chooses once for all its L levels and P = 2 sum (r - 1)
+    points: when |c| L < P, H is tabulated on all |c| residues at every
+    level and read at the points, else it is summed at the points; either
+    way in blocks of at most GAUSS_BLOCK phases (one n when there are more
+    entries), so work is O(P + |c| min(|c| L, P)) per call and memory
+    bounded by the points asked for and the block.  At one level that is
+    a table when |c| < 2 (r - 1).  Phases are exact residues mod 4 r |c|
     (mod |c| in H), each product reduced in turn, so every int64
     intermediate stays below (4 r |c|)^2 (gauss_modulus).  Needs c != 0
     (raises ValueError otherwise).
@@ -278,57 +281,50 @@ def gauss_columns(mat: SL2Z, levels: Sequence[int]) -> np.ndarray:
     if not reqs:
         return np.empty(0, dtype=complex)
     size, *_, qs = zip(*reqs)
-    starts = list(itertools.accumulate(size, initial=0))
     if len(reqs) == 1:
         _, M, A, D, scale, pref, _ = reqs[0]
         j = np.arange(1, size[0] + 1)
+        row = 0
     else:
+        starts = list(itertools.accumulate(size, initial=0))
         M, A, D = np.array([x[1:4] for x in reqs]).repeat(size, axis=0).T
         scale, pref = np.array([x[4:6] for x in reqs]).repeat(size, axis=0).T
         j = np.arange(1, starts[-1] + 1) - np.repeat(starts[:-1], size)
+        row = np.repeat(np.arange(len(reqs)), size)
     # the points s = mu j, mu = 1 in row 0 and -1 in row 1: a s^2 mod 4 r |c|,
     # with the sign mu folded in as half a period, mod / 2
     s = np.array((j, -j))
     base = A * s % M * s % M
     base[1] += M // 2
     ph = (base - 2 * s + D) % M
-    # H at u = a s - 1 mod |c| for q = a r mod |c|: summed at the points of
-    # the first p levels, which have no more points than |c| residues, and
-    # tabulated on all residues at the others, one table per value of q
+    # H at u = a s - 1 mod |c|, with q = a r mod |c| at the level of each point,
+    # whose index is row: tabulated on all |c| residues at every level when that
+    # takes fewer entries than the points, else summed at the points
     u = (mat.a % cc * s - 1) % cc
-    p = sum(cc >= 2 * n for n in size)
-    npts = starts[p]
-    slots = list(dict.fromkeys(qs[p:]))
-    at = u[:, npts:]
-    if len(slots) > 1:
-        at = at + np.repeat([cc * slots.index(q) for q in qs[p:]], size[p:])
-    rows = np.arange(cc * len(slots)) % cc
-    q = slots[0] if len(slots) == 1 else np.repeat(slots, cc)
-    if p:
-        rows = np.concatenate((rows, u[:, :npts].ravel()))
-        qp = np.repeat(qs[:p], size[:p])
-        q = np.concatenate((np.repeat(np.array(slots, dtype=np.int64), cc), qp, qp))
-        pts = cc * len(slots) + np.arange(2 * npts).reshape(2, npts)
-        at = np.concatenate((pts, at), axis=1)
-    h = _gauss_h(rows, q, c)[at]
+    q = np.array(qs)
+    if cc * len(reqs) < u.size:
+        h = _gauss_h(np.arange(cc), q[:, None], c)[row, u]
+    else:
+        h = _gauss_h(u, q[row], c)
     return pref * (np.exp(scale * ph) * h).sum(axis=0)
 
 
-def _gauss_h(u: np.ndarray, q: np.ndarray | int, c: int) -> np.ndarray:
+def _gauss_h(u: np.ndarray, q: np.ndarray, c: int) -> np.ndarray:
     """H(u; q) = sum_{0 <= n < |c|} exp(2 pi i (u n + q n^2) / c) at each
-    entry of u, with q one value or one per entry, summed over n in blocks
-    of at most GAUSS_BLOCK phases (one n when there are more entries)."""
+    entry of u and q broadcast together, summed over n in blocks of at
+    most GAUSS_BLOCK phases (one n when there are more entries)."""
     cc = abs(c)
-    step = max(1, GAUSS_BLOCK // len(u))
+    size = np.broadcast(u, q).size
+    step = max(1, GAUSS_BLOCK // size)
     # each phase is a residue mod |c|: with no more residues than entries,
     # exp is taken once per residue and looked up
-    roots = np.exp(2j * math.pi / c * np.arange(cc)) if cc <= len(u) else None
+    roots = np.exp(2j * math.pi / c * np.arange(cc)) if cc <= size else None
     out = 0
     for n0 in range(0, cc, step):
         n = np.arange(n0, min(n0 + step, cc))
         # u n + q n^2 = (u + q n) n, below 2 |c|^2 before the last reduction
-        qn = (q[:, None] if isinstance(q, np.ndarray) else q) * n % cc
-        ph = (u[:, None] + qn) * n % cc
+        qn = np.multiply.outer(q, n) % cc
+        ph = (u[..., None] + qn) * n % cc
         terms = np.exp(2j * math.pi / c * ph) if roots is None else roots[ph]
         out = out + terms.sum(axis=-1)
     return out

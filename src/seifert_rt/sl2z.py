@@ -151,7 +151,8 @@ def convergents(entries: Sequence[int]) -> ConvergentTable:
     mats = []
     acc = IDENTITY
     for a in entries:
-        acc = theta_power(a) * XI * acc
+        # theta_power(a) * XI * acc, written out
+        acc = SL2Z(a * acc.a - acc.c, a * acc.b - acc.d, acc.a, acc.b)
         mats.append(acc)
     return ConvergentTable(tuple(entries), tuple(mats))
 

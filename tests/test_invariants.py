@@ -249,11 +249,12 @@ def test_cs11_matches_grid_formula(data, r):
 @st.composite
 def boundary_fibers(draw):
     """A level r and 1..2 fibers of order 2 (r - 1) - 1, 2 (r - 1) or
-    2 (r - 1) + 1, where compact switches from tabulating each fiber's
-    Gauss sum on all residues to summing it at the 2 (r - 1) points.  The
-    examples add cs11's switch, a fiber of order CS11_BLOCK - 1, CS11_BLOCK
-    or CS11_BLOCK + 1: up to CS11_BLOCK its Gauss sum is tabulated by one
-    FFT per level, past it summed at the points."""
+    2 (r - 1) + 1, where compact at the one level r switches from
+    tabulating each fiber's Gauss sum on all alpha residues to summing it
+    at the 2 (r - 1) points.  The examples add cs11's switch, a fiber of
+    order CS11_BLOCK - 1, CS11_BLOCK or CS11_BLOCK + 1: up to CS11_BLOCK
+    its Gauss sum is tabulated by one FFT per level, past it summed at the
+    points."""
     r = draw(st.integers(3, 20))
     pairs = []
     for _ in range(draw(st.integers(1, 2))):
@@ -890,8 +891,10 @@ def test_warm_exact_stages_give_bit_identical_values(order):
 
 
 @given(data=small_seifert(), lo=st.integers(3, 16), width=st.integers(1, 8))
-# cs11 sums G at the points below r = 4 (alpha 5) or 5 (alpha 6, 7) and
-# tabulates it above
+# one chunk of r = 3..10 holds levels with no more points 2 (r - 1) than
+# alpha residues (r = 3 for alpha 5, r = 3, 4 for alpha 6, 7) and levels with
+# more: compact tabulates each fiber's Gauss sum over the whole chunk
+# (alpha x 8 <= 56 table entries against 88 points), cs11 by one FFT per level
 @example(data=SeifertData("o", 0, None, ((5, 2), (6, 1), (7, 3))), lo=3, width=8)
 # compact's centered pair 2/25 is 2/1 at r = 3, 2/-7 at r = 4 and 2/-15 at r = 5
 @example(data=parse_seifert("nn:o;g=2;2/25,3/1"), lo=3, width=3)

@@ -215,8 +215,8 @@ def gauss_loop(mat, r):
 # 2 (r - 1) = 78 points times |c| = 1499 shifts n: 116922 phases, summed at
 # the points in eight blocks of 210 n
 @example(mat=SL2Z(2, 1, 1499, 750), r=40)
-# |c| = 2 (r - 1) - 1, 2 (r - 1) and 2 (r - 1) + 1: below the 38 points H is
-# tabulated on all residues, from there on summed at the points
+# |c| = 2 (r - 1) - 1, 2 (r - 1) and 2 (r - 1) + 1: at one level H is
+# tabulated on all |c| residues below the 38 points, from there on summed at them
 @example(mat=SL2Z(2, 1, 37, 19), r=20)
 @example(mat=SL2Z(3, 1, 38, 13), r=20)
 @example(mat=SL2Z(-3, -1, -38, -13), r=20)
@@ -225,17 +225,21 @@ def gauss_loop(mat, r):
 def test_gauss_blocks_match_shift_loop(mat, r):
     """The blocked kernel matches column 0 of the per-shift loop,
     including |c| whose shifts span several blocks and |c| on either side
-    of the 2 (r - 1) points, where the kernel switches from a table of H
-    to sums at the points."""
+    of the 2 (r - 1) points, where the kernel at one level switches from a
+    table of H to sums at the points."""
     assert np.max(np.abs(r_rep_gauss(mat, r) - gauss_loop(mat, r)[:, 0])) <= 1e-13
 
 
 @given(mat=sl2z_lower_nonzero(c_max=200), lo=st.integers(2, 40), width=st.integers(1, 8))
-# |c| = 37 against 2 (r - 1) = 32..42: r = 17, 18, 19 sum H at their points,
-# r = 20, 21, 22 tabulate it, with three values 3, 5, 7 of a r mod |c|
+# |c| = 37 over six levels, whose 37 x 6 = 222 table entries the kernel sets
+# against the P points of the call: P = 210 at r = 16..21 and P = 222 at
+# r = 17..22 sum H at the points, P = 234 at r = 18..23 tabulates it, one row
+# per level, for the six values of a r mod |c|
+@example(mat=SL2Z(2, 1, 37, 19), lo=16, width=6)
 @example(mat=SL2Z(2, 1, 37, 19), lo=17, width=6)
-# |c| = 197 against 2 (r - 1) = 194..198: points at r = 98, 99 and a table at
-# r = 100, 587 rows of H summed over n in eight blocks of 27
+@example(mat=SL2Z(2, 1, 37, 19), lo=18, width=6)
+# |c| = 197 at r = 98..100: P = 588 points, fewer than 3 x 197 = 591 table
+# entries, so H is summed at them over n in eight blocks of 27
 @example(mat=SL2Z(3, 1, 197, 66), lo=98, width=3)
 @settings(max_examples=60, deadline=None)
 def test_gauss_columns_over_levels_match_shift_loop(mat, lo, width):

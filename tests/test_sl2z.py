@@ -154,11 +154,17 @@ def test_cf_minus_digit_bound(pq):
     word=st.lists(st.integers(min_value=-5, max_value=5), min_size=1, max_size=6)
 )
 def test_convergent_denominators_interlock(word):
-    """Each convergent's lower entry is the previous one's upper entry."""
-    pairs = convergents(tuple(word)).column_pairs
+    """Each convergent's lower entry is the previous one's upper entry,
+    and each convergent is theta_power(a) * XI times the previous one."""
+    table = convergents(tuple(word))
+    pairs = table.column_pairs
     assert pairs[0][1] == 1
     for k in range(1, len(pairs)):
         assert pairs[k][1] == pairs[k - 1][0]
+    previous = IDENTITY
+    for a, mat in zip(word, table.matrices):
+        assert mat == theta_power(a) * XI * previous
+        previous = mat
 
 
 # ------------------------------------------------ Dedekind and Rademacher
