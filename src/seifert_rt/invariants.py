@@ -20,17 +20,22 @@ Dedekind sums, Rademacher phi, signatures.  It runs once per
 presentation: functools.lru_cache(maxsize=1) keeps the last result,
 which holds only what the numeric stage reads.  The numeric stage reads
 that result.  generic, graph_sum and section5 read one datum per level
-and run it level by level, raising the refusals that read no datum
-before the datum is built.  cs11 and compact depend on the level alone
-and run it once per request, over all the requested levels as one array
-of (level, point) entries, in chunks of at most CS11_BLOCK points and
-table entries per fiber or GAUSS_BLOCK points (tau_cs11_sweep,
-tau_compact_sweep; tau_cs11 and tau_compact are their calls at one
-level).  compact keys its exact stage on the pairs centered mod 4 r
-alpha, since that reduction depends on r, and groups its levels by
-them.  graph_sum splits its exact stage in two, its chains (with its
-chain cap) and then, once its level and term caps pass, the plumbing
-block.  No exact stage is shared between routes; generic, section5 and
+and raise the refusals that read no datum before any datum is built.
+graph_sum runs level by level.  generic and section5 run once per
+request, every level's labels laid end to end as one DatumStack: each
+digit's twist power and each weighting is one numpy op for all levels,
+and only the product with S runs per level, on that level's slice
+(tau_generic_sweep, tau_section5_sweep).  cs11 and compact depend on the
+level alone and run once per request, over all the requested levels as
+one array of (level, point) entries, in chunks of at most CS11_BLOCK
+points and table entries per fiber or GAUSS_BLOCK points
+(tau_cs11_sweep, tau_compact_sweep).  Every sweep sums each level on its
+own slice, and tau_generic, tau_section5, tau_cs11 and tau_compact are
+the sweeps at one level.  compact keys its exact stage on the pairs
+centered mod 4 r alpha, since that reduction depends on r, and groups its
+levels by them.  graph_sum splits its exact stage in two, its chains
+(with its chain cap) and then, once its level and term caps pass, the
+plumbing block.  No exact stage is shared between routes; generic, section5 and
 graph_sum take their chain digits through one capped expansion,
 _capped_chains, each with its own cap.  cs11 and compact read no digits.
 
@@ -65,6 +70,7 @@ import numpy as np
 
 from .modular import (
     GAUSS_BLOCK,
+    DatumStack,
     ModularDatum,
     g_matrix,
     gauss_columns,
@@ -212,40 +218,83 @@ def _generic_exact(
     return tuple(chains), sigma_closed_form(data.base, es, tables)
 
 
+def _chain_levels(
+    levels: tuple[int, ...], dm: ModularDatum | None, pref: Callable[[ModularDatum], complex]
+) -> tuple[DatumStack, list[complex], list[Entry]]:
+    """A chain route's datums and prefactors: at each ascending level the
+    loaded datum dm or the built-in sl2 datum, and pref of it, up to the
+    first level whose prefactor overflows.  That OverflowError stands for
+    its level and every higher one, the third item.  The stack keeps that
+    level's datum too, so an overflow of the route's powers, which reads no
+    level, still wins there, as it does at one level."""
+    datums, prefs = [], []
+    for r in levels:
+        datums.append(sl2_datum(r) if dm is None else dm)
+        try:
+            prefs.append(pref(datums[-1]))
+        except OverflowError as exc:
+            return DatumStack.of(datums), prefs, [exc] * (len(levels) - len(prefs))
+    return DatumStack.of(datums), prefs, []
+
+
 def tau_generic(
     datum: ModularDatum, data: SeifertData, cf_style: str = "minus"
 ) -> InvariantResult:
-    """Surgery-presentation evaluation, valid for any modular datum.
+    """Surgery-presentation evaluation on one datum: tau_generic_sweep at
+    its one level."""
+    return _single(tau_generic_sweep((datum.n_labels + 1,), datum, data, cf_style))
+
+
+def tau_generic_sweep(
+    levels: tuple[int, ...], datum: ModularDatum | None, data: SeifertData,
+    cf_style: str = "minus",
+) -> list[Entry]:
+    """Surgery-presentation evaluation at each of the ascending levels,
+    valid for any modular datum: the loaded datum, or the built-in sl2
+    datum of each level when datum is None.
 
     Expands each exceptional pair into a continued fraction chain,
     applies it to the unit label e_0 (O(m n^2) for m digits and n
     labels), multiplies the columns S G^{chain} e_0, and weights labels by
     quantum dimensions, twists of the central framing, and (for a
-    non-orientable base) cross-cap signs on self-dual labels.  At most
-    CHAIN_CAP digits in all (ComplexityCap beyond).
+    non-orientable base) cross-cap signs on self-dual labels.  Every
+    level's labels are one DatumStack.  At most CHAIN_CAP digits in all.
+
+    One entry per level: the result, or the refusal of the exact stage
+    (ComplexityCap) at every level, raised before any datum is built; an
+    OverflowError of the twist powers at every level, and one of the
+    prefactor's float powers at its level and every higher one.
     """
-    chains, sigma = _generic_exact(data, cf_style)
+    if not levels:
+        return []
+    try:
+        chains, sigma = _generic_exact(data, cf_style)
+    except ComplexityCap as exc:
+        return [exc] * len(levels)
     n = len(chains)
     mtot = sum(map(len, chains))
     g = data.genus
     orientable = data.base == "o"
-    col = np.ones(datum.n_labels, dtype=complex)
-    for digits in chains:
-        col *= datum.S @ g_matrix(datum, digits)
     aeg = 2 * g if orientable else g
-    if orientable:
-        lab = datum.dims ** (2 - n - aeg)
-    else:
-        lab = _eps_weight(datum, g) * datum.dims ** (2 - n - aeg)
-    if data.normalized:
-        col = col * datum.v ** (-data.b)
-    val = (
-        (datum.delta / datum.D) ** sigma
-        * datum.D ** (aeg - 2)
-        * np.sum(lab * col)
+    stack, prefs, stop = _chain_levels(
+        levels, datum, lambda d: (d.delta / d.D) ** sigma * d.D ** (aeg - 2)
     )
-    r = datum.n_labels + 1
-    return InvariantResult(complex(val), r, "generic", sigma, _tol(r, mtot + n))
+    col = np.ones(stack.v.size, dtype=complex)
+    try:
+        for digits in chains:
+            col *= stack.apply_s(stack.chain(digits))
+        if data.normalized:
+            col = col * stack.v ** (-data.b)
+    except OverflowError as exc:
+        return [exc] * len(levels)
+    lab = stack.dims ** (2 - n - aeg)
+    if not orientable:
+        lab = np.concatenate([_eps_weight(d, g) for d in stack.datums]) * lab
+    out: list[Entry] = []
+    for d, pref, z in zip(stack.datums, prefs, stack.sums(lab * col)):
+        r = d.n_labels + 1
+        out.append(InvariantResult(complex(pref * z), r, "generic", sigma, _tol(r, mtot + n)))
+    return out + stop
 
 
 @functools.lru_cache(maxsize=1)
@@ -653,34 +702,54 @@ def _section5_exact(
 def tau_section5(
     datum: ModularDatum, data: SeifertData, cf_style: str = "minus"
 ) -> InvariantResult:
-    """Chain-decomposition evaluation with explicit framing bookkeeping
-    (orientable base only).
+    """Chain-decomposition evaluation on one datum (orientable base only):
+    tau_section5_sweep at its one level."""
+    return _single(tau_section5_sweep((datum.n_labels + 1,), datum, data, cf_style))
+
+
+def tau_section5_sweep(
+    levels: tuple[int, ...], datum: ModularDatum | None, data: SeifertData,
+    cf_style: str = "minus",
+) -> list[Entry]:
+    """Chain-decomposition evaluation at each of the ascending levels, on
+    the loaded datum or, when datum is None, the built-in sl2 datum of each
+    level (orientable base only).
 
     Normalizes first, treats the central framing as one extra chain
     (-b, 0) when b is nonzero, and tracks the framing exponent through
     per-chain defects (sum of digits - phi)/3 plus a Maslov-type offset.
+    Every level's labels are one DatumStack.  Entries and refusals as in
+    tau_generic_sweep; the base check refuses every level too.
     """
-    g, chains, expo = _section5_exact(data, cf_style)
-    nl = datum.n_labels
-    r = nl + 1
-
+    if not levels:
+        return []
+    try:
+        g, chains, expo = _section5_exact(data, cf_style)
+    except (ComplexityCap, Unsupported) as exc:
+        return [exc] * len(levels)
     if not chains:
-        val = datum.D ** (2 * g - 2) * np.sum(datum.dims ** (2 - 2 * g))
-        return InvariantResult(complex(val), r, "section5", 0, _tol(r, 1))
-
-    # each chain applied to the unit label, its digits scaled by 1/D
-    cols = [datum.S @ g_matrix(datum, digits) for digits in chains]
-    mtot = sum(map(len, chains))
-    n_comp = len(chains)
-    prod = np.ones(nl, dtype=complex)
-    for c in cols:
-        prod *= c
-    val = (
-        (datum.delta / datum.D) ** expo
-        * datum.D ** (2 * g - 2)
-        * np.sum(datum.dims ** (2 - 2 * g - n_comp) * prod)
-    )
-    return InvariantResult(complex(val), r, "section5", expo, _tol(r, mtot + n_comp))
+        stack, prefs, stop = _chain_levels(levels, datum, lambda d: d.D ** (2 * g - 2))
+        terms = stack.dims ** (2 - 2 * g)
+        work = 1
+    else:
+        stack, prefs, stop = _chain_levels(
+            levels, datum, lambda d: (d.delta / d.D) ** expo * d.D ** (2 * g - 2)
+        )
+        # each chain applied to the unit label, its digits scaled by 1/D
+        prod = np.ones(stack.v.size, dtype=complex)
+        try:
+            for digits in chains:
+                prod *= stack.apply_s(stack.chain(digits))
+        except OverflowError as exc:
+            return [exc] * len(levels)
+        n_comp = len(chains)
+        terms = stack.dims ** (2 - 2 * g - n_comp) * prod
+        work = sum(map(len, chains)) + n_comp
+    out: list[Entry] = []
+    for d, pref, z in zip(stack.datums, prefs, stack.sums(terms)):
+        r = d.n_labels + 1
+        out.append(InvariantResult(complex(pref * z), r, "section5", expo, _tol(r, work)))
+    return out + stop
 
 
 def _each_level(
@@ -714,16 +783,15 @@ def _refuse_datum(name: str, levels: tuple[int, ...]) -> list[Entry]:
 # every higher level too: each one either ignores the level (the chain caps,
 # the base checks, a loaded datum, cs11's alpha^2 bound) or grows with r
 # (graph_sum's level and term caps, compact's int64 bound (4 r |c|)^2, a float
-# power of r).  cs11 and compact sweep their numeric stage over all the levels
-# at once; the datum routes, which read one datum per level, run level by
-# level, and raise the refusals that read no datum (their exact stage, or
-# graph_sum's caps at their defaults in _graph_sum_caps) before it is built.
+# power of r).  generic, section5, cs11 and compact sweep their numeric stage
+# over all the levels at once, each level summed on its own slice; graph_sum
+# runs level by level.  The datum routes raise the refusals that read no datum
+# (their exact stage, or graph_sum's caps at their defaults in _graph_sum_caps)
+# before any datum is built.
 # Adapters only: the routes must not share numeric code through this table,
 # since their agreement is the cross-check.  The order is the output order.
 ROUTES: dict[str, Callable[[tuple[int, ...], ModularDatum | None, SeifertData], list[Entry]]] = {
-    "generic": lambda levels, dm, data: _each_level(
-        levels, dm, lambda r: _generic_exact(data, "minus"), lambda d: tau_generic(d, data)
-    ),
+    "generic": lambda levels, dm, data: tau_generic_sweep(levels, dm, data),
     "cs11": lambda levels, dm, data: (
         tau_cs11_sweep(levels, data) if dm is None else _refuse_datum("cs11", levels)
     ),
@@ -733,9 +801,7 @@ ROUTES: dict[str, Callable[[tuple[int, ...], ModularDatum | None, SeifertData], 
     "graph_sum": lambda levels, dm, data: _each_level(
         levels, dm, lambda r: _graph_sum_caps(r, data), lambda d: tau_graph_sum(d, data)
     ),
-    "section5": lambda levels, dm, data: _each_level(
-        levels, dm, lambda r: _section5_exact(data, "minus"), lambda d: tau_section5(d, data)
-    ),
+    "section5": lambda levels, dm, data: tau_section5_sweep(levels, dm, data),
 }
 
 

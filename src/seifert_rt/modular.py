@@ -3,8 +3,8 @@
 A datum packages the S-matrix, twists, quantum dimensions, global
 dimension D, duality involution, and optional cross-cap signs of a
 modular category with n labels (label 0 is the unit).  The quantum sl2
-datum at level r - 2 is built from closed trigonometric formulas; any
-other datum can be loaded from JSON.
+datum at level r - 2 is built from closed trigonometric formulas, each
+argument reduced exactly first; any other datum can be loaded from JSON.
 
 The representation carried by S and the twists is evaluated two
 independent ways: as a word in the generator matrices read off a
@@ -13,10 +13,13 @@ sum (defined whenever the lower-left entry is nonzero).  The test suite
 checks that both agree; the axioms subcommand checks the datum axioms and
 the generator relations of r_rep_generators.  The numeric routes read only
 the unit-label column of a representation matrix, so the chain kernel
-g_matrix and the Gauss kernel gauss_columns compute that column alone;
-r_rep_word stays whole, as the reference.  gauss_columns takes several
-levels at once and chooses once per call between a table of its Gauss
-sum on all residues and sums at the points, whichever has fewer entries.
+and the Gauss kernel gauss_columns compute that column alone; r_rep_word
+stays whole, as the reference.  Both kernels take several levels at once.
+The chain kernel, DatumStack.chain, lays the datums of the levels end to
+end and reads its first digit from the unit column S[:, 0], with no
+product; g_matrix is that kernel at one level.  gauss_columns chooses once
+per call between a table of its Gauss sum on all residues and sums at the
+points, whichever has fewer entries.
 """
 
 from __future__ import annotations
@@ -83,14 +86,22 @@ def sl2_datum(r: int) -> ModularDatum:
     S[j][l] = sin(j l pi / r) / sin(pi / r), v_j = exp(i pi (j^2 - 1) / 2r),
     dims_j = sin(j pi / r) / sin(pi / r), D = sqrt(r / 2) / sin(pi / r),
     eps_j = (-1)^(j - 1), every label self-dual.
+
+    Every argument is reduced exactly before sin or exp: S is read from one
+    real table of sin(pi k / r) / sin(pi / r) over k mod 2 r, at k = j l
+    mod 2 r, and converted to complex once; dims is that table at k = j;
+    v is taken at the exponent (j^2 - 1) mod 4 r.  So the rounding of an
+    argument stays below 2 pi eps at every r, where j l pi / r reached
+    r pi.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
     j = np.arange(1, r)
     s1 = math.sin(math.pi / r)
-    S = (np.sin(np.pi * np.outer(j, j) / r) / s1).astype(complex)
-    v = np.exp(1j * math.pi * (j * j - 1) / (2 * r))
-    dims = np.sin(np.pi * j / r) / s1
+    table = np.sin(np.pi * np.arange(2 * r) / r) / s1
+    S = table[np.outer(j, j) % (2 * r)].astype(complex)
+    v = np.exp(1j * math.pi * ((j * j - 1) % (4 * r)) / (2 * r))
+    dims = table[j]
     D = math.sqrt(r / 2) / s1
     delta = complex(np.sum(v.conj() * dims * dims))
     dual = tuple(range(r - 1))
@@ -147,18 +158,76 @@ def check_axioms(datum: ModularDatum) -> dict[str, float]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class DatumStack:
+    """The datums of several levels laid end to end: each per-label vector
+    is one flat array, level i on its entries slices[i].
+
+    v holds the twists, dims the quantum dimensions, D each entry's global
+    dimension and unit the unit-label columns S[:, 0].  So a chain's twists
+    and weights take one numpy op for every level; only S times a vector is
+    one BLAS product per level, on that level's own slice, and each level
+    is summed on its own slice, so every entry equals its single-level
+    value bit for bit.
+    """
+
+    datums: tuple[ModularDatum, ...]
+    slices: tuple[slice, ...]
+    v: np.ndarray
+    dims: np.ndarray
+    D: np.ndarray
+    unit: np.ndarray
+
+    @classmethod
+    def of(cls, datums: Sequence[ModularDatum]) -> DatumStack:
+        sizes = [d.n_labels for d in datums]
+        starts = itertools.accumulate(sizes, initial=0)
+        return cls(
+            tuple(datums),
+            tuple(itertools.starmap(slice, itertools.pairwise(starts))),
+            np.concatenate([d.v for d in datums]),
+            np.concatenate([d.dims for d in datums]),
+            np.repeat([d.D for d in datums], sizes),
+            np.concatenate([d.S[:, 0] for d in datums]),
+        )
+
+    def apply_s(self, x: np.ndarray) -> np.ndarray:
+        """S x, with each level's S on its own slice of x."""
+        y = np.empty_like(x)
+        for d, s in zip(self.datums, self.slices):
+            np.matmul(d.S, x[s], out=y[s])
+        return y
+
+    def chain(self, entries: Sequence[int]) -> np.ndarray:
+        """T^{a_n} (S/D) ... T^{a_1} (S/D) e_0 at every level, for digits
+        (a_1, ..., a_n): e_0 when there are none.
+
+        S e_0 is S[:, 0] exactly, so the first digit reads the unit column
+        and each later one takes one product with S, O(n^2) per level.
+        """
+        if not entries:
+            G = np.zeros(self.v.size, dtype=complex)
+            G[[s.start for s in self.slices]] = 1
+            return G
+        G = self.v ** entries[0] / self.D * self.unit
+        for a in entries[1:]:
+            G = self.v**a / self.D * self.apply_s(G)
+        return G
+
+    def sums(self, x: np.ndarray) -> list:
+        """The sum of each level's slice of x."""
+        return [x[s].sum() for s in self.slices]
+
+
 def g_matrix(datum: ModularDatum, entries: Sequence[int]) -> np.ndarray:
     """T^{a_n} (S/D) ... T^{a_1} (S/D) e_0 for digits (a_1, ..., a_n).
 
     T = diag(v) and e_0 is the unit label: the unit-label column of the
-    chain, one product of S with a vector per digit, O(n^2) each.  S/D is
-    unitary, so the scale stays put however long the chain; 1/D rides on
-    the twists instead of rebuilding S/D.
+    chain, DatumStack.chain at the one level.  S/D is unitary, so the
+    scale stays put however long the chain; 1/D rides on the twists
+    instead of rebuilding S/D.
     """
-    G = np.eye(1, datum.n_labels, dtype=complex)[0]
-    for a in entries:
-        G = datum.v**a / datum.D * (datum.S @ G)
-    return G
+    return DatumStack.of((datum,)).chain(entries)
 
 
 def w_phase(r: int) -> complex:

@@ -314,52 +314,57 @@ def linking_matrix(
 def signature_exact(mat: Sequence[Sequence[int | Fraction]]) -> tuple[int, int]:
     """(signature, nullity) of a symmetric rational matrix, exact.
 
-    Congruence reduction over Fraction: split off nonzero diagonal
-    entries one at a time, and zero-diagonal hyperbolic pairs two at a
-    time (each contributing nothing to the signature).
+    Fraction-free congruence reduction in Python ints.  Rational input is
+    scaled by the squared lcm of its denominators, the congruence by lcm I.
+    Nonzero diagonal entries d split off one at a time, and zero-diagonal
+    hyperbolic pairs c two at a time (each contributing nothing to the
+    signature).  What remains becomes d m_ij - m_ip m_pj, d times the Schur
+    complement (c times it for a pair), so a negative d or c flips the
+    inertia of the rest.  flip is the product of the signs of the d and c
+    so far, and a pivot's true sign is the flip that includes its own d.
+    Each block is then divided by the gcd of its entries, a positive scale.
     """
     n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
+    m = [list(row) for row in mat]
     for row in m:
         if len(row) != n:
             raise ValueError("matrix is not square")
+    if not all(type(x) is int for row in m for x in row):
+        fracs = [[Fraction(x) for x in row] for row in m]
+        scale = math.lcm(*(x.denominator for row in fracs for x in row)) ** 2
+        m = [[int(x * scale) for x in row] for row in fracs]
     for i in range(n):
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix is not symmetric")
     sig = 0
     null = 0
+    flip = 1
     while m:
         k = len(m)
         pivot = next((i for i in range(k) if m[i][i] != 0), None)
         if pivot is not None:
             d = m[pivot][pivot]
-            sig += 1 if d > 0 else -1
+            flip *= sign(d)
+            sig += flip
             rest = [i for i in range(k) if i != pivot]
-            m = [
-                [m[i][j] - m[i][pivot] * m[pivot][j] / d for j in rest]
-                for i in rest
-            ]
-            continue
-        hyper = None
-        for i in range(k):
-            for j in range(i + 1, k):
-                if m[i][j] != 0:
-                    hyper = (i, j)
-                    break
-            if hyper:
+            m = [[d * m[i][j] - m[i][pivot] * m[pivot][j] for j in rest] for i in rest]
+        else:
+            hyper = next(
+                ((i, j) for i in range(k) for j in range(i + 1, k) if m[i][j] != 0), None
+            )
+            if hyper is None:
+                null += k
                 break
-        if hyper is None:
-            null += k
-            break
-        i0, j0 = hyper
-        c = m[i0][j0]
-        rest = [t for t in range(k) if t not in (i0, j0)]
-        m = [
-            [
-                m[s][t] - (m[s][i0] * m[t][j0] + m[s][j0] * m[t][i0]) / c
-                for t in rest
+            i0, j0 = hyper
+            c = m[i0][j0]
+            flip *= sign(c)
+            rest = [t for t in range(k) if t not in (i0, j0)]
+            m = [
+                [c * m[s][t] - (m[s][i0] * m[t][j0] + m[s][j0] * m[t][i0]) for t in rest]
+                for s in rest
             ]
-            for s in rest
-        ]
+        g = math.gcd(*(x for row in m for x in row))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
     return sig, null

@@ -920,6 +920,29 @@ def test_sweep_equals_single_levels(data, lo, width):
             assert abs(got.value - want.value) <= 1e-14 * max(1.0, abs(want.value)), (name, r)
 
 
+@given(data=small_seifert(), lo=st.integers(3, 16), width=st.integers(1, 8))
+# generic and section5 overflow D^(2g - 2) from r = 6 on, part way through
+@example(data=parse_seifert("o;g=287;b=-1;4/3,5/4"), lo=3, width=6)
+@settings(max_examples=40, deadline=None)
+def test_chain_sweeps_equal_single_levels_exactly(data, lo, width):
+    """The chain routes lay every level's labels end to end, yet each
+    level's entry equals its one-level call exactly, refusals included;
+    tau_generic and tau_section5 on a datum equal the built-in sweep at its
+    level, and the sweep on that datum loaded, at every level."""
+    levels = tuple(range(lo, lo + width))
+    for name, tau in (("generic", tau_generic), ("section5", tau_section5)):
+        sweep = ROUTES[name](levels, None, data)
+        for r, got in zip(levels, sweep, strict=True):
+            (want,) = ROUTES[name]((r,), None, data)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want)), (name, r)
+                continue
+            assert got == want, (name, r)
+            d = sl2_datum(r)
+            assert tau(d, data) == want, (name, r)
+            assert ROUTES[name](levels, d, data) == [want] * len(levels), (name, r)
+
+
 def test_sweeps_need_ascending_levels():
     with pytest.raises(ValueError, match="ascend"):
         invariants.tau_cs11_sweep((5, 4), POINCARE)

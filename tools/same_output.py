@@ -18,10 +18,13 @@ otherwise.
 The call set is two passes of each benchmark workload at seed 901, read
 from ``bench/workloads.py`` without writing anything under ``bench/``, and
 fixed calls that cover the subcommands, large fibers over several chunks of
-levels, and the exact arithmetic: wide Euler denominators, huge slopes and
-framings, and a refused int64 bound.  No fiber order sits just below the
-int64 bound, where a single level sums about 1e10 phases.  The 489 calls
-take about 5 s per tree on a 2-core x86 VM.
+levels, the chain routes' sweeps (a window of large levels, a float
+overflow part way through a window, and a loaded datum, whose file the
+OLD_SRC tree writes once into a temporary directory, so both trees read the
+same datum), and the exact arithmetic: wide Euler denominators, huge slopes
+and framings, and a refused int64 bound.  No fiber order sits just below the
+int64 bound, where a single level sums about 1e10 phases.  The 493 calls
+take about 6 s per tree on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -34,12 +37,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 SEED = 901
 CS11_COMPACT = ("--method", "cs11,compact")
+CHAIN_ROUTES = ("--method", "generic,section5")
+# the level of the loaded datum, and the placeholder that stands for its path
+DATUM_LEVEL = 7
+DATUM = "<datum>"
 FIXED_CALLS = [
     ("verify", "--random", "25", "--seed", "7", "--r", "3..10"),
     ("lens", "7", "3", "--r", "3..30"),
@@ -53,6 +61,12 @@ FIXED_CALLS = [
     ("compute", "o;g=0;b=-1;4001/1,4003/1,4007/1,4013/1", "--r", "50", *CS11_COMPACT),
     ("compute", "o;g=0;b=0;100001/100000", "--r", "5", *CS11_COMPACT),
     ("lens", "1499", "7", "--r", "3..60"),
+    # the chain routes: a window of large levels, an overflow of D^(2g - 2)
+    # from r = 6 on, and a loaded datum
+    ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "140..160", *CHAIN_ROUTES),
+    ("compute", "o;g=287;b=-1;4/3,5/4", "--r", "3..8", *CHAIN_ROUTES),
+    ("compute", "o;g=1;b=2;7/3,5/2", "--datum", DATUM),
+    ("compute", "n;g=1;b=1;3/2,5/3", "--datum", DATUM, "--method", "generic"),
     # exactness: a 60-bit Euler denominator, huge slopes and framing
     ("compute", "o;g=1;b=768614336404564650;1009/2,1013/5,1019/3,1021/4,1031/6,1033/7", "--r", "3..6"),
     ("compute", "nn:o;g=0;3/2305843009213693952,2/1", "--r", "3..12"),
@@ -65,8 +79,9 @@ FIXED_CALLS = [
 ]
 
 
-def call_set() -> list[list[str]]:
-    """The argv of every call, the workload passes first."""
+def call_set(datum: str) -> list[list[str]]:
+    """The argv of every call, the workload passes first, with datum the
+    path of the datum file."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -77,7 +92,7 @@ def call_set() -> list[list[str]]:
         for k in range(2)
         for inv in workloads.build_pass(name, SEED, k)
     ]
-    return calls + [list(argv) for argv in FIXED_CALLS]
+    return calls + [[datum if a == DATUM else a for a in argv] for argv in FIXED_CALLS]
 
 
 def run_calls(calls: list[list[str]]) -> list[list]:
@@ -96,18 +111,19 @@ def run_calls(calls: list[list[str]]) -> list[list]:
     return records
 
 
-def run_tree(src: str, calls: list[list[str]]) -> list[list]:
-    """run_calls in a fresh interpreter that imports the program from src."""
+def run_tree(src: str, args: list[str], stdin: str = "") -> str:
+    """This script run with args in a fresh interpreter that imports the
+    program from src: its stdout."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run(
-        [sys.executable, "-B", __file__, "--child"],
-        input=json.dumps(calls),
+        [sys.executable, "-B", __file__, *args],
+        input=stdin,
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
 
 
 def lines(record: list) -> list[str]:
@@ -152,11 +168,19 @@ def main(argv: list[str]) -> int:
     if argv == ["--child"]:
         json.dump(run_calls(json.load(sys.stdin)), sys.stdout)
         return 0
+    if argv[:1] == ["--datum"]:
+        from seifert_rt.modular import save_datum, sl2_datum
+
+        save_datum(sl2_datum(DATUM_LEVEL), argv[1])
+        return 0
     if len(argv) != 2:
         print("usage: python3 tools/same_output.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
-    calls = call_set()
-    results = [run_tree(src, calls) for src in argv]
+    with tempfile.TemporaryDirectory() as tmp:
+        datum = os.path.join(tmp, f"sl2_{DATUM_LEVEL}.json")
+        run_tree(argv[0], ["--datum", datum])
+        calls = call_set(datum)
+        results = [json.loads(run_tree(src, ["--child"], json.dumps(calls))) for src in argv]
     for src, records in zip(argv, results):
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         print(f"{digest}  {src}")
