@@ -627,8 +627,9 @@ def tau_graph_sum(
 
     Normalizes the presentation, negates its plumbing block, and sums the
     mirror datum's graph weights over every label assignment: one complex
-    tensor with an axis per plumbing vertex, nl^m values for m vertices
-    (at most 8 MB at the default term cap), every term formed explicitly.
+    tensor with an axis per plumbing vertex, nl^m values for m vertices,
+    grown one vertex at a time with every term formed explicitly (at most
+    7.5 MB at the default term cap: the last tensor and the one before it).
     Wholly independent of the chain algebra in the other routes, and
     guarded by three complexity caps, caps being any of chain_cap (8),
     r_cap (10) and max_terms (500 000) of _graph_sum_caps, all checked in
@@ -641,22 +642,24 @@ def tau_graph_sum(
     nl = datum.n_labels
     g, B, sig, bexp = _graph_sum_exact(mm, cfs)
 
-    # one axis per plumbing vertex: term[l_0, ..., l_m-1] is the weight of
-    # one labeling, each vertex weight multiplied onto its axis, then each
-    # edge (p, q), p < q, onto axes p and q
+    # one axis per plumbing vertex, grown one vertex at a time.  In
+    # linking_matrix's order every vertex q > 0 has one earlier neighbour p,
+    # so its weight w_q and its edge matrix E_pq form one small table
+    # f[l_p, l_q] = w_q[l_q] E_pq[l_p, l_q], and one pass appends axis q:
+    # term[l_0, ..., l_q] = term[l_0, ..., l_q-1] f[l_p, l_q]
     mir = mirror_datum(datum)
-    dual = np.array(mir.dual)
-    term = np.ones((nl,) * mtot, dtype=complex)
-    for p in range(mtot):
-        a_p = sum(abs(B[p][q]) for q in range(mtot) if q != p)
-        weight = mir.v ** B[p][p] * mir.dims ** (2 - 2 * (g if p == 0 else 0) - a_p)
-        term *= weight.reshape((nl,) + (1,) * (mtot - 1 - p))
-    for p in range(mtot):
-        for q in range(p + 1, mtot):
-            if B[p][q] != 0:
-                mat = mir.S if B[p][q] > 0 else mir.S[dual, :]
-                shape = (nl,) + (1,) * (q - p - 1) + (nl,) + (1,) * (mtot - 1 - q)
-                term *= (mat ** abs(B[p][q])).reshape(shape)
+    S_dual = mir.S[np.array(mir.dual), :]
+
+    def weight(q: int) -> np.ndarray:
+        """w_q = v^B_qq dims^(2 - 2 g_q - valence), on the labels of vertex q."""
+        a_q = sum(abs(B[q][p]) for p in range(mtot) if p != q)
+        return mir.v ** B[q][q] * mir.dims ** (2 - 2 * (g if q == 0 else 0) - a_q)
+
+    term = weight(0)
+    for q in range(1, mtot):
+        (p,) = [p for p in range(q) if B[p][q] != 0]
+        f = weight(q) * (mir.S if B[p][q] > 0 else S_dual) ** abs(B[p][q])
+        term = term[..., None] * f.reshape((1,) * p + (nl,) + (1,) * (q - 1 - p) + (nl,))
     val = mir.delta**sig * datum.D**bexp * np.sum(term)
     return InvariantResult(
         complex(val), r, "graph_sum", sig, _tol(r, mtot + nl ** (mtot - 1))

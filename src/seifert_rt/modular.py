@@ -250,12 +250,16 @@ class RRep:
 
 @lru_cache(maxsize=None)
 def r_rep_generators(r: int) -> RRep:
-    """Xi_{jl} = sqrt(2/r) sin(j l pi / r); Theta_jj = e^{-i pi/4} e^{i pi j^2/2r}."""
+    """Xi_{jl} = sqrt(2/r) sin(j l pi / r); Theta_jj = e^{-i pi/4} e^{i pi j^2/2r}.
+
+    Each argument is reduced exactly first, as in sl2_datum but without its
+    table: the sine is taken at j l mod 2 r and the exponential at j^2 mod 4 r.
+    """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
     j = np.arange(1, r)
-    xi = np.sqrt(2.0 / r) * np.sin(np.pi * np.outer(j, j) / r).astype(complex)
-    theta = np.exp(-1j * math.pi / 4) * np.exp(1j * math.pi * j * j / (2 * r))
+    xi = np.sqrt(2.0 / r) * np.sin(np.pi * (np.outer(j, j) % (2 * r)) / r).astype(complex)
+    theta = np.exp(-1j * math.pi / 4) * np.exp(1j * math.pi * ((j * j) % (4 * r)) / (2 * r))
     xi.setflags(write=False)
     theta.setflags(write=False)
     return RRep(xi, theta)

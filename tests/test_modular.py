@@ -84,6 +84,29 @@ def test_sl2_datum_matches_mpmath(r):
     assert v_err <= 8 * eps, (r, v_err / eps)
 
 
+@pytest.mark.parametrize("r", [7, 146, 400])
+def test_r_rep_generators_match_mpmath(r):
+    """Xi and Theta within 8 eps of a 30-digit evaluation (relative to
+    max |Xi| for Xi), at every r: the unreduced arguments j l pi / r and
+    pi j^2 / 2r of the old build read 968 and 606 eps at r = 400.  The
+    reference takes sqrt(2 / r) sin(pi j l / r) at j l mod 2 r, an exact
+    identity, as hi + lo, its double and the double of its remainder."""
+    eps = np.finfo(float).eps
+    gen = r_rep_generators(r)
+    j = np.arange(1, r)
+    with mpmath.workdps(30):
+        scale = mpmath.sqrt(mpmath.mpf(2) / r)
+        exact = [scale * mpmath.sinpi(mpmath.mpf(k) / r) for k in range(2 * r)]
+        hi = np.array([float(x) for x in exact])
+        lo = np.array([float(x - mpmath.mpf(h)) for x, h in zip(exact, hi)])
+        t_ref = [mpmath.expjpi(mpmath.mpf(int(jj) ** 2) / (2 * r) - mpmath.mpf(1) / 4) for jj in j]
+        t_err = max(float(abs(mpmath.mpc(z) - ref)) for z, ref in zip(gen.theta_diag, t_ref))
+    k = np.outer(j, j) % (2 * r)
+    x_err = np.max(np.abs(gen.xi - hi[k] - lo[k]))
+    assert x_err <= 8 * eps * np.max(np.abs(hi)), (r, x_err / eps)
+    assert t_err <= 8 * eps, (r, t_err / eps)
+
+
 def test_sl2_datum_invalid_level():
     with pytest.raises(ValueError, match="need r >= 2, got 1"):
         sl2_datum(1)

@@ -21,9 +21,11 @@ fixed calls that cover the subcommands, large fibers over several chunks of
 levels, the chain routes' sweeps (a window of large levels, a float
 overflow part way through a window, and a loaded datum, whose file the
 OLD_SRC tree writes once into a temporary directory, so both trees read the
-same datum), and the exact arithmetic: wide Euler denominators, huge slopes
-and framings, and a refused int64 bound.  No fiber order sits just below the
-int64 bound, where a single level sums about 1e10 phases.  The 493 calls
+same datum), the graph_sum state sum (the largest sum its caps allow, the
+same one level up, refused by the term cap, and a genus-2 sum with three
+chains), and the exact arithmetic: wide Euler denominators, huge slopes and
+framings, and a refused int64 bound.  No fiber order sits just below the
+int64 bound, where a single level sums about 1e10 phases.  The 496 calls
 take about 6 s per tree on a 2-core x86 VM.
 """
 
@@ -67,6 +69,10 @@ FIXED_CALLS = [
     ("compute", "o;g=287;b=-1;4/3,5/4", "--r", "3..8", *CHAIN_ROUTES),
     ("compute", "o;g=1;b=2;7/3,5/2", "--datum", DATUM),
     ("compute", "n;g=1;b=1;3/2,5/3", "--datum", DATUM, "--method", "generic"),
+    # graph_sum: 5^8 terms at r = 6, 6^8 over the term cap at r = 7, and genus 2
+    ("compute", "o;g=0;b=-2;8/7", "--r", "6", "--method", "graph_sum"),
+    ("compute", "o;g=0;b=-2;8/7", "--r", "7", "--method", "graph_sum"),
+    ("compute", "o;g=2;b=-1;3/2,5/3,7/4", "--r", "3..6", "--method", "graph_sum"),
     # exactness: a 60-bit Euler denominator, huge slopes and framing
     ("compute", "o;g=1;b=768614336404564650;1009/2,1013/5,1019/3,1021/4,1031/6,1033/7", "--r", "3..6"),
     ("compute", "nn:o;g=0;3/2305843009213693952,2/1", "--r", "3..12"),
