@@ -204,7 +204,7 @@ def emit_records(
     """
     columns = list(rows[0])
     if output == "json":
-        print(json.dumps(rows if summary is None else {**summary, "rows": rows}, indent=1))
+        print(json_text(rows, summary))
         return
     if output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -221,6 +221,29 @@ def emit_records(
             print(" ".join(_cell(row[k]).rjust(widths[k]) for k in columns))
     if footer is not None:
         print(footer)
+
+
+def json_text(rows: list[dict], summary: dict | None = None) -> str:
+    """json.dumps(doc, indent=1) for doc = rows, or {**summary, "rows": rows}
+    when a summary is given, through json's C encoder, which indent turns off.
+
+    rows is a non-empty list of non-empty records, the summary has no key
+    "rows", and records and summary are flat: every value is None, a bool,
+    a number or a string.  So one encoding of all rows, whose item
+    separator carries the newline and the indent of a key, leaves only the
+    brackets of each row to place, and the summary likewise.  An encoded
+    JSON string never holds a raw newline, so the row boundary "},\n"
+    cannot occur inside one.
+    """
+    pad = " " if summary is None else "  "  # the indent of a row's brackets
+    body = json.dumps(rows, separators=(",\n" + pad + " ", ": "))[2:-2]
+    body = body.replace("},\n" + pad + " {", f"\n{pad}}},\n{pad}{{\n{pad} ")
+    text = f"[\n{pad}{{\n{pad} {body}\n{pad}}}\n{pad[1:]}]"
+    if summary is None:
+        return text
+    # the summary's items and the "rows" key, up to where its value starts
+    head = json.dumps({**summary, "rows": 0}, separators=(",\n ", ": "))[1:-2]
+    return f"{{\n {head}{text}\n}}"
 
 
 def _cell(val) -> str:

@@ -4,7 +4,8 @@ A datum packages the S-matrix, twists, quantum dimensions, global
 dimension D, duality involution, and optional cross-cap signs of a
 modular category with n labels (label 0 is the unit).  The quantum sl2
 datum at level r - 2 is built from closed trigonometric formulas, each
-argument reduced exactly first; any other datum can be loaded from JSON.
+argument reduced exactly first; its S is real and kept as float64.  Any
+other datum can be loaded from JSON, with a complex S.
 
 The representation carried by S and the twists is evaluated two
 independent ways: as a word in the generator matrices read off a
@@ -17,9 +18,10 @@ and the Gauss kernel gauss_columns compute that column alone; r_rep_word
 stays whole, as the reference.  Both kernels take several levels at once.
 The chain kernel, DatumStack.chain, lays the datums of the levels end to
 end and reads its first digit from the unit column S[:, 0], with no
-product; g_matrix is that kernel at one level.  gauss_columns chooses once
-per call between a table of its Gauss sum on all residues and sums at the
-points, whichever has fewer entries.
+product; a real S takes each later digit as one float product on the real
+and imaginary parts together.  g_matrix is that kernel at one level.
+gauss_columns chooses once per call between a table of its Gauss sum on
+all residues and sums at the points, whichever has fewer entries.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .sl2z import SL2Z, b_matrix, cf_expand, rademacher_phi, sign
 class ModularDatum:
     """Numeric modular category data; arrays are read-only.
 
-    S is the unnormalized S-matrix (S[i][0] = dims[i], S/D unitary),
+    S is the unnormalized S-matrix (S[i][0] = dims[i], S/D unitary):
+    real (float64) for the built-in sl2 datum, complex for a loaded one.
     v the ribbon twists, delta = sum of v_i^{-1} dims_i^2, dual the
     duality permutation, eps the optional cross-cap signs (None when
     unknown; only ever needed for self-dual labels).
@@ -89,8 +92,8 @@ def sl2_datum(r: int) -> ModularDatum:
 
     Every argument is reduced exactly before sin or exp: S is read from one
     real table of sin(pi k / r) / sin(pi / r) over k mod 2 r, at k = j l
-    mod 2 r, and converted to complex once; dims is that table at k = j;
-    v is taken at the exponent (j^2 - 1) mod 4 r.  So the rounding of an
+    mod 2 r, and stays real (float64); dims is that table at k = j; v is
+    taken at the exponent (j^2 - 1) mod 4 r.  So the rounding of an
     argument stays below 2 pi eps at every r, where j l pi / r reached
     r pi.
     """
@@ -99,7 +102,12 @@ def sl2_datum(r: int) -> ModularDatum:
     j = np.arange(1, r)
     s1 = math.sin(math.pi / r)
     table = np.sin(np.pi * np.arange(2 * r) / r) / s1
-    S = table[np.outer(j, j) % (2 * r)].astype(complex)
+    # j l < r^2 never wraps int32 while r^2 < 2^31 (r <= 46340), int64 past
+    # that; it is reduced mod 2 r in place by a floor division, cheaper than %
+    ji = j.astype(np.int32 if r * r < 2**31 else np.int64)
+    jl = np.multiply.outer(ji, ji)
+    jl -= jl // (2 * r) * (2 * r)
+    S = np.take(table, jl)
     v = np.exp(1j * math.pi * ((j * j - 1) % (4 * r)) / (2 * r))
     dims = table[j]
     D = math.sqrt(r / 2) / s1
@@ -158,17 +166,24 @@ def check_axioms(datum: ModularDatum) -> dict[str, float]:
     return out
 
 
+# a complex vector viewed as this dtype is its (n x 2) float view, real and
+# imaginary parts side by side; one view, cheaper than view(float).reshape(-1, 2)
+FLOAT_PAIR = np.dtype((np.float64, 2))
+
+
 @dataclass(frozen=True, eq=False)
 class DatumStack:
     """The datums of several levels laid end to end: each per-label vector
     is one flat array, level i on its entries slices[i].
 
     v holds the twists, dims the quantum dimensions, D each entry's global
-    dimension and unit the unit-label columns S[:, 0].  So a chain's twists
-    and weights take one numpy op for every level; only S times a vector is
-    one BLAS product per level, on that level's own slice, and each level
-    is summed on its own slice, so every entry equals its single-level
-    value bit for bit.
+    dimension and unit the unit-label columns S[:, 0], kept complex like
+    v.  So a chain's twists and weights take one numpy op for every
+    level; only S times a vector is one BLAS product per level, on that
+    level's own slice, and each level is summed on its own slice, so every
+    entry equals its single-level value bit for bit.  real_s says whether
+    every level's S is real, as the built-in sl2 datum's is; a loaded
+    datum's S is complex.
     """
 
     datums: tuple[ModularDatum, ...]
@@ -177,6 +192,7 @@ class DatumStack:
     dims: np.ndarray
     D: np.ndarray
     unit: np.ndarray
+    real_s: bool
 
     @classmethod
     def of(cls, datums: Sequence[ModularDatum]) -> DatumStack:
@@ -188,14 +204,23 @@ class DatumStack:
             np.concatenate([d.v for d in datums]),
             np.concatenate([d.dims for d in datums]),
             np.repeat([d.D for d in datums], sizes),
-            np.concatenate([d.S[:, 0] for d in datums]),
+            np.concatenate([d.S[:, 0] for d in datums], dtype=complex),
+            all(d.S.dtype == np.float64 for d in datums),
         )
 
     def apply_s(self, x: np.ndarray) -> np.ndarray:
-        """S x, with each level's S on its own slice of x."""
+        """S x for a complex vector x, with each level's S on its own slice.
+
+        A real S multiplies the real and imaginary parts together: one
+        float (n x 2) product on the float views of x and of the result,
+        taken once per call.  A complex S takes the complex product.
+        """
         y = np.empty_like(x)
+        xs, ys = x, y
+        if self.real_s:
+            xs, ys = x.view(FLOAT_PAIR), y.view(FLOAT_PAIR)
         for d, s in zip(self.datums, self.slices):
-            np.matmul(d.S, x[s], out=y[s])
+            np.dot(d.S, xs[s], out=ys[s])
         return y
 
     def chain(self, entries: Sequence[int]) -> np.ndarray:

@@ -20,6 +20,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seifert_rt
 from seifert_rt import cli, invariants, modular
@@ -61,6 +63,36 @@ def test_f15_rounding():
     assert f15(0.1 + 0.2) == 0.3
     assert f15(1.0) == 1.0
     assert f15(-0.5000000000000001) == -0.5
+
+
+# a flat record with every kind of value the emitter may meet: None, bools,
+# ints, NaN, +-inf, -0.0 and a string with a quote, a backslash, ", " and a
+# non-ASCII character
+ODD_RECORD = {
+    "r": 7, "input": 'a "b" \\ c, d é', "sigma": None, "ok": True, "bad": False,
+    "re": math.nan, "im": math.inf, "abs": -math.inf, "phase": -0.0, "big": 10**20,
+}
+
+
+@pytest.mark.parametrize("n_rows", [1, 4])
+@pytest.mark.parametrize("summary", [None, {"ok": False, "worst": 2.5e-8}])
+def test_json_text_equals_the_stdlib_indent(n_rows, summary):
+    rows = [dict(ODD_RECORD, r=k) for k in range(n_rows)]
+    doc = rows if summary is None else {**summary, "rows": rows}
+    assert cli.json_text(rows, summary) == json.dumps(doc, indent=1)
+
+
+flat_value = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@given(
+    rows=st.lists(st.dictionaries(st.text(), flat_value, min_size=1), min_size=1, max_size=4),
+    summary=st.none() | st.dictionaries(st.text(), flat_value),
+)
+@settings(max_examples=200, deadline=None)
+def test_json_text_equals_the_stdlib_indent_on_any_flat_records(rows, summary):
+    doc = rows if summary is None else {**summary, "rows": rows}
+    assert cli.json_text(rows, summary) == json.dumps(doc, indent=1)
 
 
 def test_random_seifert_is_seed_stable():

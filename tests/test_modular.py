@@ -61,6 +61,14 @@ def test_sl2_datum_frozen_r3():
     assert d.eps == (1, -1)
 
 
+@pytest.mark.parametrize("r", [2, 7, 146])
+def test_sl2_datum_s_is_real(r):
+    """S is stored as float64, 8 bytes an entry."""
+    S = sl2_datum(r).S
+    assert S.dtype == np.float64
+    assert S.nbytes == 8 * (r - 1) ** 2
+
+
 @pytest.mark.parametrize("r", [7, 146, 400])
 def test_sl2_datum_matches_mpmath(r):
     """S and v within 8 eps of a 30-digit evaluation (relative to max |S|
@@ -224,11 +232,13 @@ def test_g_matrix_column_matches_full_chain(word, r):
 def test_g_matrix_equals_the_per_digit_product_bit_for_bit(word, r):
     """The chain's first digit reads the unit column S[:, 0], which is
     S e_0 exactly, and later digits run on the level's slice: the same bits
-    as one product with S per digit from e_0."""
+    as one product with S per digit from e_0.  The datum's S is real, so
+    each product is the real (n x 2) one on the vector's float view, as in
+    DatumStack.apply_s; S @ want would cast S to complex instead."""
     d = sl2_datum(r)
     want = np.eye(1, d.n_labels, dtype=complex)[0]
     for a in word:
-        want = d.v**a / d.D * (d.S @ want)
+        want = d.v**a / d.D * (d.S @ want.view(float).reshape(-1, 2)).view(complex).ravel()
     assert g_matrix(d, word).tobytes() == want.tobytes()
 
 

@@ -25,7 +25,7 @@ same datum), the graph_sum state sum (the largest sum its caps allow, the
 same one level up, refused by the term cap, and a genus-2 sum with three
 chains), and the exact arithmetic: wide Euler denominators, huge slopes and
 framings, and a refused int64 bound.  No fiber order sits just below the
-int64 bound, where a single level sums about 1e10 phases.  The 496 calls
+int64 bound, where a single level sums about 1e10 phases.  The 498 calls
 take about 6 s per tree on a 2-core x86 VM.
 """
 
@@ -55,6 +55,9 @@ FIXED_CALLS = [
     ("lens", "7", "3", "--r", "3..30"),
     ("lens", "0", "1"),
     ("axioms", "--r", "3..6"),
+    # JSON of the two subcommands that print no workload call
+    ("axioms", "--r", "3..4", "--format", "json"),
+    ("lens", "7", "3", "--r", "3..6", "--format", "json"),
     ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--r", "3..40", "--format", "csv"),
     # larger fibers, several chunks of levels
     ("compute", "o;g=0;b=-1;17/5,16/3,15/2", "--r", "3..300", *CS11_COMPACT),
