@@ -227,14 +227,17 @@ def json_text(rows: list[dict], summary: dict | None = None) -> str:
     """json.dumps(doc, indent=1) for doc = rows, or {**summary, "rows": rows}
     when a summary is given, through json's C encoder, which indent turns off.
 
-    rows is a non-empty list of non-empty records, the summary has no key
-    "rows", and records and summary are flat: every value is None, a bool,
-    a number or a string.  So one encoding of all rows, whose item
-    separator carries the newline and the indent of a key, leaves only the
-    brackets of each row to place, and the summary likewise.  An encoded
-    JSON string never holds a raw newline, so the row boundary "},\n"
-    cannot occur inside one.
+    rows is a non-empty list of non-empty records, and records and summary
+    are flat: every value is None, a bool, a number or a string.  So one
+    encoding of all rows, whose item separator carries the newline and the
+    indent of a key, leaves only the brackets of each row to place, and the
+    summary likewise.  An encoded JSON string never holds a raw newline, so
+    the row boundary "},\n" cannot occur inside one.  A summary with its own
+    key "rows", which keeps that key's place, goes through the indenting
+    encoder.
     """
+    if summary is not None and "rows" in summary:
+        return json.dumps({**summary, "rows": rows}, indent=1)
     pad = " " if summary is None else "  "  # the indent of a row's brackets
     body = json.dumps(rows, separators=(",\n" + pad + " ", ": "))[2:-2]
     body = body.replace("},\n" + pad + " {", f"\n{pad}}},\n{pad}{{\n{pad} ")

@@ -33,11 +33,16 @@ points and table entries per fiber or GAUSS_BLOCK points
 own slice, and tau_generic, tau_section5, tau_cs11 and tau_compact are
 the sweeps at one level.  compact keys its exact stage on the pairs
 centered mod 4 r alpha, since that reduction depends on r, and groups its
-levels by them.  graph_sum splits its exact stage in two, its chains
-(with its chain cap) and then, once its level and term caps pass, the
-plumbing block.  No exact stage is shared between routes; generic, section5 and
-graph_sum take their chain digits through one capped expansion,
-_capped_chains, each with its own cap.  cs11 and compact read no digits.
+levels by them.  It takes each fiber's column from gauss_factors as one
+row of r - 1 points per level, factored into an exact phase, a linear
+factor and a constant of the level: the phases of all fibers, its framing
+twist and its sign add up to one exponential per point, and each level's
+constants multiply that level's sum.  graph_sum splits its exact stage
+in two, its chains (with its chain cap) and then, once its level and
+term caps pass, the plumbing block.  No exact stage is shared between
+routes; generic, section5 and graph_sum take their chain digits through
+one capped expansion, _capped_chains, each with its own cap.  cs11 and
+compact read no digits.
 
 ROUTES names the five, in this order, each with an adapter
 run(levels, datum, data) that takes the ascending tuple of levels, a
@@ -59,6 +64,7 @@ index j - 1), and t = exp(i pi / 2r).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import itertools
@@ -73,7 +79,8 @@ from .modular import (
     DatumStack,
     ModularDatum,
     g_matrix,
-    gauss_columns,
+    gauss_factors,
+    gauss_limit,
     gauss_modulus,
     mirror_datum,
     r_rep_gauss,
@@ -188,17 +195,16 @@ def _capped_chains(
 def _eps_weight(datum: ModularDatum, genus: int) -> np.ndarray:
     """eps^g on self-dual labels, 0 elsewhere; eps only needed for odd g."""
     nl = datum.n_labels
-    dual = np.array(datum.dual)
-    selfdual = dual == np.arange(nl)
-    out = np.zeros(nl)
+    selfdual = np.fromiter(datum.dual, np.intp, nl) == np.arange(nl)
     if genus % 2 == 0:
-        out[selfdual] = 1.0
-        return out
-    for i in np.nonzero(selfdual)[0]:
-        if datum.eps[i] is None:
-            raise ValueError(f"label {int(i)} has no cross-cap sign")
-        out[i] = datum.eps[i]
-    return out
+        return selfdual.astype(float)
+    # a missing sign reads as nan, and only a self-dual one is used
+    eps = np.array(datum.eps, dtype=float)
+    if None in datum.eps:
+        missing = np.flatnonzero(selfdual & np.isnan(eps))
+        if missing.size:
+            raise ValueError(f"label {int(missing[0])} has no cross-cap sign")
+    return np.where(selfdual, eps, 0.0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -497,12 +503,16 @@ def tau_compact_sweep(
     is summed: O(alpha r) per pair and level.  The levels are grouped by
     their centered pairs, which fix the matrices, and each group is swept
     in chunks of at most GAUSS_BLOCK points, 2 (r - 1) per level (one
-    level when it has more), every pair's columns over a chunk taken by
-    one call of gauss_columns.
+    level when it has more).  Over a chunk every pair's column comes from
+    one call of gauss_factors, factored into a phase, a linear factor and
+    a constant per level: the phases of all pairs, the framing twist and
+    the sign (-1)^(j aeg) add up to one exponential per point, n + 2
+    transcendentals a point with each pair's linear factor and the sine,
+    and the constants of a level multiply its sum.
 
     One entry per level: the result, or the OverflowError of the first
-    level whose Gauss phases pass int64 (gauss_modulus), repeated at
-    every higher level.
+    level whose Gauss phases pass int64 (past gauss_limit of some alpha,
+    raised by gauss_modulus), repeated at every higher level.
     """
     pairs = data.pairs
     n = len(pairs)
@@ -510,18 +520,24 @@ def tau_compact_sweep(
     ae = 2 if data.base == "o" else 1
     aeg = ae * g
     b = data.b if data.normalized else 0
+    if list(levels) != sorted(levels):
+        raise ValueError(f"levels must ascend, got {tuple(levels)}")
     # sign(e) of e = -(b + sum beta / alpha), over the common denominator prod alpha > 0
     A = math.prod(alpha for alpha, _ in pairs)
     es = -sign((data.b or 0) * A + sum(beta * (A // alpha) for alpha, beta in pairs))
+    # the first level past the int64 limit of some fiber refuses, with every higher one
+    limit = min((gauss_limit(alpha) for alpha, _ in pairs), default=math.inf)
+    cut = bisect.bisect_right(levels, limit)
     stop: list[OverflowError] = []
-    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    for i, r in enumerate(levels):
+    if cut < len(levels):
         try:
             for alpha, _ in pairs:
-                gauss_modulus(r, alpha)
+                gauss_modulus(levels[cut], alpha)
         except OverflowError as exc:
-            stop = [exc] * (len(levels) - i)
-            break
+            stop = [exc] * (len(levels) - cut)
+    kept = levels[:cut]
+    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for r in kept:
         # the value has period 4 r alpha in beta at fixed sign(e), which is read
         # from the data as given: the centered residue makes it exactly periodic
         # and keeps phis, the exponent of w, small.  It depends on r, so the exact
@@ -534,6 +550,8 @@ def tau_compact_sweep(
     found: dict[int, InvariantResult] = {}
     for centered, group in groups.items():
         mats, phis = _compact_exact(centered)
+        # the exponent of w, whose order is 8 r
+        k = phis - 3 * (ae - 1) * es
         lo = 0
         while lo < len(group):
             hi, points = lo + 1, 2 * (group[lo] - 1)
@@ -541,41 +559,50 @@ def tau_compact_sweep(
                 points += 2 * (group[hi] - 1)
                 hi += 1
             chunk = group[lo:hi]
-            sums = _compact_sums(chunk, mats, b, aeg)
-            for r, z in zip(chunk, sums):
-                pref = (
-                    (-1) ** aeg
-                    * w_phase(r) ** ((phis - 3 * (ae - 1) * es + 4 * r) % (8 * r) - 4 * r)
-                    * cmath.exp(1j * math.pi * ((b + 2 * r) % (4 * r) - 2 * r) / (2 * r))
-                )
-                found[r] = InvariantResult(complex(pref * z), r, "compact", None, _tol(r, n * r))
+            for r, z in zip(chunk, _compact_sums(chunk, mats, k, b, aeg)):
+                found[r] = InvariantResult(complex(z), r, "compact", None, _tol(r, n * r))
             lo = hi
-    return [found[r] for r in levels[: len(levels) - len(stop)]] + stop
+    return [found[r] for r in kept] + stop
 
 
-def _compact_sums(levels: list[int], mats: tuple[SL2Z, ...], b: int, aeg: int) -> list[complex]:
-    """The j sum of tau_compact at each of the ascending levels of one
-    chunk, as one array of (level, j) entries summed level by level."""
+def _compact_sums(levels: list[int], mats: tuple[SL2Z, ...], k: int, b: int, aeg: int) -> list:
+    """tau_compact at each of the ascending levels of one chunk: one array
+    of (level, j) entries, each level summed on its own slice and then
+    multiplied by its constants, w^k (-1)^aeg exp(i pi b / 2r) and the
+    prefactor of each matrix's column."""
+    one = len(levels) == 1
     size = [r - 1 for r in levels]
-    starts = list(itertools.accumulate(size, initial=0))
-
-    def spread(values: list):
-        """One value per level at each of its entries; at one level, the value."""
-        return values[0] if len(size) == 1 else np.repeat(values, size)
-
-    rr = spread(levels)
-    j = np.arange(1, starts[-1] + 1) - spread(starts[:-1])
-    cols = np.ones(starts[-1], dtype=complex)
+    starts = list(itertools.accumulate(size[:-1], initial=0))
+    # exp(i pi b / 2r) has period 4r in b, and (-1)^(j aeg) = exp(i pi 2r aeg j^2 / 2r)
+    # since j^2 and j have one parity: each level's exponent of t^(j^2),
+    # reduced exactly first as a Python int
+    tw = [(2 * r * aeg - b) % (4 * r) for r in levels]
+    # the levels and the twist exponents, and at each point its j, r and twist:
+    # Python scalars at one level, else arrays read at each point's row
+    if one:
+        (rs,), (tw,) = levels, tw
+        j, rr, tw_j = np.arange(1, rs), rs, tw
+    else:
+        rs, tw = np.array(levels), np.array(tw)
+        row = np.repeat(np.arange(len(levels)), size)
+        j, rr, tw_j = np.arange(1, sum(size) + 1) - np.array(starts)[row], rs[row], tw[row]
+    # w = exp(i pi (r - 2) / 4r) has order 8r: w^k (-1)^aeg exp(i pi b / 2r) is
+    # exp(i pi E / 4r) with E exact mod 8r
+    expo = (k % (8 * rs) * (rs - 2) - 2 * tw) % (8 * rs)
+    pref = (cmath.exp if one else np.exp)(1j * math.pi * expo / (4 * rs))
+    # the phases in units of pi: the twist, then each matrix's column
+    phase = tw_j * j * j % (4 * rr) / (2 * rr)
+    factor = 1
     for N in mats:
-        cols = cols * gauss_columns(N, levels)
+        ph, fac, p = gauss_factors(N, levels)
+        phase += ph
+        factor = factor * fac
+        pref = pref * p
     xi1 = np.sqrt(2.0 / rr) * np.sin(np.pi * j / rr)
-    sgn_j = np.where((j * aeg) % 2 == 1, -1.0, 1.0)
-    # w has order 8r and exp(i pi b / 2r) period 4r in b: the integer exponents
-    # are reduced first, to centered residues so that small ones stay as they are
-    nb = spread([-b % (4 * r) for r in levels])
-    tpow = np.exp(1j * math.pi * ((nb * j * j) % (4 * rr)) / (2 * rr))
-    terms = sgn_j * tpow * cols * xi1 ** (2 - len(mats) - aeg)
-    return [terms[i:k].sum() for i, k in itertools.pairwise(starts)]
+    terms = np.exp(1j * math.pi * phase) * factor * xi1 ** (2 - len(mats) - aeg)
+    # each level's slice summed alone, by one call at any number of levels
+    sums = np.add.reduceat(terms, starts)
+    return [pref * sums[0]] if one else list(pref * sums)
 
 
 @functools.lru_cache(maxsize=1)

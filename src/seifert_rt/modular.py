@@ -14,18 +14,19 @@ sum (defined whenever the lower-left entry is nonzero).  The test suite
 checks that both agree; the axioms subcommand checks the datum axioms and
 the generator relations of r_rep_generators.  The numeric routes read only
 the unit-label column of a representation matrix, so the chain kernel
-and the Gauss kernel gauss_columns compute that column alone; r_rep_word
-stays whole, as the reference.  Both kernels take several levels at once.
-The chain kernel, DatumStack.chain, lays the datums of the levels end to
-end and reads its first digit from the unit column S[:, 0], with no
-product; a real S takes each later digit as one float product on the real
+and the Gauss kernel gauss_factors compute that column alone
+(gauss_columns multiplies its factors out); r_rep_word stays whole, as
+the reference.  Both kernels take several levels at once.  The chain
+kernel, DatumStack.chain, lays the datums of the levels end to end and
+reads its first digit from the unit column S[:, 0], with no product; a real S takes each later digit as one float product on the real
 and imaginary parts together.  g_matrix is that kernel at one level.
-gauss_columns chooses once per call between a table of its Gauss sum on
+gauss_factors chooses once per call between a table of its Gauss sum on
 all residues and sums at the points, whichever has fewer entries.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import json
@@ -69,15 +70,27 @@ class ModularDatum:
             raise ValueError("v and dims must have one entry per label")
         if len(self.dual) != n or len(self.eps) != n:
             raise ValueError("dual and eps must have one entry per label")
-        if sorted(self.dual) != list(range(n)) or any(
-            self.dual[self.dual[i]] != i for i in range(n)
+        # integer labels; every label self-dual is the identity, an involution,
+        # and any other dual must hold each label once and map each back under
+        # a second step
+        dual = np.array(self.dual)
+        if dual.dtype.kind not in "iu" or (
+            self.dual != tuple(range(n))
+            and not (
+                np.array_equal(np.sort(dual), np.arange(n))
+                and np.array_equal(dual[dual], np.arange(n))
+            )
         ):
             raise ValueError("dual must be an involutive permutation")
         if self.dual[0] != 0:
             raise ValueError("unit label must be self-dual")
-        for e in self.eps:
-            if e not in (1, -1, None):
-                raise ValueError(f"eps entries must be +-1 or None, got {e!r}")
+        try:
+            signs = set(self.eps) <= {1, -1, None}
+        except TypeError:  # an unhashable entry is none of them
+            signs = False
+        if not signs:
+            e = next(e for e in self.eps if e not in (1, -1, None))
+            raise ValueError(f"eps entries must be +-1 or None, got {e!r}")
         for arr in (self.S, self.v, self.dims):
             arr.setflags(write=False)
 
@@ -113,7 +126,7 @@ def sl2_datum(r: int) -> ModularDatum:
     D = math.sqrt(r / 2) / s1
     delta = complex(np.sum(v.conj() * dims * dims))
     dual = tuple(range(r - 1))
-    eps = tuple(1 if (jj - 1) % 2 == 0 else -1 for jj in range(1, r))
+    eps = ((1, -1) * r)[: r - 1]
     return ModularDatum(r - 1, S, v, dims, D, delta, dual, eps)
 
 
@@ -325,7 +338,7 @@ def r_rep_gauss(mat: SL2Z, r: int) -> np.ndarray:
 def gauss_modulus(r: int, c: int) -> int:
     """4 r |c|, the modulus of the Gauss-sum phases at level r.
 
-    Every int64 intermediate of gauss_columns stays below its square:
+    Every int64 intermediate of gauss_factors stays below its square:
     OverflowError when that passes 2^63, which happens from some level on.
     """
     mod = 4 * r * abs(c)
@@ -334,77 +347,111 @@ def gauss_modulus(r: int, c: int) -> int:
     return mod
 
 
+# the largest modulus whose square stays below 2^63
+INT64_ROOT = math.isqrt(2**63 - 1)
+
+
+def gauss_limit(c: int) -> int:
+    """The highest level whose Gauss phases fit int64: gauss_modulus(r, c)
+    raises at every r past it and at no r up to it."""
+    return INT64_ROOT // (4 * abs(c))
+
+
 def gauss_columns(mat: SL2Z, levels: Sequence[int]) -> np.ndarray:
     """Unit-label columns of the Gauss-sum representation of mat at
     ascending levels.
 
     For each level r in turn, the r - 1 entries of the unit-label column
-    (label k = 1) at that level, all concatenated and summed as one array:
-    the kernel of r_rep_gauss (one level) and of compact's level sweep.
+    (label k = 1) at that level, all concatenated: the product of the
+    factors of gauss_factors, the kernel of r_rep_gauss (one level).
+    """
+    phase, factor, pref = gauss_factors(mat, levels)
+    if len(levels) > 1:
+        pref = np.repeat(pref, [r - 1 for r in levels])
+    return pref * np.exp(1j * math.pi * phase) * factor
+
+
+def gauss_factors(mat: SL2Z, levels: Sequence[int]) -> tuple:
+    """The unit-label columns of gauss_columns, factored so that a caller
+    can add the phases of several matrices before one exponential.
+
     Entry j at level r sums, over the 2 |c| shifts g = j + 2 r n mu,
     mu exp(i pi (a g^2 - 2 mu g + d) / 2rc).  With g split out, the n sum
     is the Gauss sum H(u) = sum_n exp(2 pi i (u n + a r n^2) / c) at
-    u = a mu j - 1 mod |c|, so a level takes 2 (r - 1) phases of the
-    (j, mu) points times H there.  H depends on r through a r mod |c|
-    alone.  The call chooses once for all its L levels and P = 2 sum (r - 1)
-    points: when |c| L < P, H is tabulated on all |c| residues at every
-    level and read at the points, else it is summed at the points; either
-    way in blocks of at most GAUSS_BLOCK phases (one n when there are more
-    entries), so work is O(P + |c| min(|c| L, P)) per call and memory
-    bounded by the points asked for and the block.  At one level that is
-    a table when |c| < 2 (r - 1).  Phases are exact residues mod 4 r |c|
-    (mod |c| in H), each product reduced in turn, so every int64
-    intermediate stays below (4 r |c|)^2 (gauss_modulus).  Needs c != 0
-    (raises ValueError otherwise).
+    u = a mu j - 1 mod |c|.  Both signs mu share a j^2, so each level is
+    one row of r - 1 points, entry j being
+    pref exp(i pi q / 2rc) (H(a j - 1) - L H(-a j - 1)) with the exact
+    residue q = (a j^2 - 2 j + d) mod 4 r |c|, L = exp(2 i pi j / rc) and
+    pref = i sign(c) exp(-i pi phi / 4) / sqrt(2 r |c|), one value per
+    level.  Returns (q / 2rc, the linear factor, pref), the first two with
+    one entry per point of all levels laid end to end, pref a Python
+    scalar at one level and an array over the levels otherwise.
+
+    H depends on r through a r mod |c| alone.  The call chooses once for
+    all its L levels and the P = 2 sum (r - 1) points of H: when |c| L < P,
+    H is tabulated on all |c| residues at every level and read at the
+    points, else it is summed at the points; either way in blocks of at
+    most GAUSS_BLOCK phases (one n when there are more entries), so work
+    is O(P + |c| min(|c| L, P)) per call and memory bounded by the points
+    asked for and the block.  At one level that is a table when
+    |c| < 2 (r - 1).  Phases are exact residues mod 4 r |c| (mod |c| in H),
+    each product reduced in turn, so every int64 intermediate stays below
+    (4 r |c|)^2: OverflowError from the first level past gauss_limit, as
+    gauss_modulus raises it.  Needs c != 0 (raises ValueError otherwise).
     """
     c = mat.c
     if c == 0:
         raise ValueError(f"{mat.rows()} is upper triangular; use r_rep_word")
     if list(levels) != sorted(levels):
         raise ValueError(f"levels must ascend, got {tuple(levels)}")
+    if not levels:
+        return np.empty(0), np.empty(0, dtype=complex), np.empty(0)
+    if levels[0] < 2:
+        raise ValueError(f"need r >= 2, got {levels[0]}")
+    limit = gauss_limit(c)
+    if levels[-1] > limit:
+        gauss_modulus(levels[bisect.bisect_right(levels, limit)], c)
     cc = abs(c)
+    ac = mat.a % cc
     # exp(-i pi phi / 4) has period 8 in phi; the centered residue keeps small phi
     phi = (rademacher_phi(mat) + 4) % 8 - 4
-    rot = cmath.exp(-1j * math.pi * phi / 4)
-    # one request per level: its size r - 1, then what its entries share:
-    # 4 r |c|, a and d mod 4 r |c|, the phase scale, the prefactor and a r mod |c|
-    reqs = []
-    for r in levels:
-        if r < 2:
-            raise ValueError(f"need r >= 2, got {r}")
-        mod = gauss_modulus(r, c)
-        scale = 1j * math.pi / (2 * r * c)
-        pref = 1j * sign(c) / math.sqrt(2 * r * cc) * rot
-        reqs.append((r - 1, mod, mat.a % mod, mat.d % mod, scale, pref, mat.a * r % cc))
-    if not reqs:
-        return np.empty(0, dtype=complex)
-    size, *_, qs = zip(*reqs)
-    if len(reqs) == 1:
-        _, M, A, D, scale, pref, _ = reqs[0]
-        j = np.arange(1, size[0] + 1)
-        row = 0
+    rot = 1j * sign(c) * cmath.exp(-1j * math.pi * phi / 4)
+    # per level: the modulus M = 4 r |c|, a and d mod M, r c, a r mod |c| for H
+    # and pref; Python scalars at one level, else read at each point's row
+    if len(levels) == 1:
+        (r,) = levels
+        j, row = np.arange(1, r), 0
+        M, rc = 4 * r * cc, r * c
+        A, D = mat.a % M, mat.d % M
+        q = np.array([ac * r % cc])
+        pref = rot / math.sqrt(2 * r * cc)
     else:
-        starts = list(itertools.accumulate(size, initial=0))
-        M, A, D = np.array([x[1:4] for x in reqs]).repeat(size, axis=0).T
-        scale, pref = np.array([x[4:6] for x in reqs]).repeat(size, axis=0).T
-        j = np.arange(1, starts[-1] + 1) - np.repeat(starts[:-1], size)
-        row = np.repeat(np.arange(len(reqs)), size)
-    # the points s = mu j, mu = 1 in row 0 and -1 in row 1: a s^2 mod 4 r |c|,
-    # with the sign mu folded in as half a period, mod / 2
-    s = np.array((j, -j))
-    base = A * s % M * s % M
-    base[1] += M // 2
-    ph = (base - 2 * s + D) % M
-    # H at u = a s - 1 mod |c|, with q = a r mod |c| at the level of each point,
-    # whose index is row: tabulated on all |c| residues at every level when that
-    # takes fewer entries than the points, else summed at the points
-    u = (mat.a % cc * s - 1) % cc
-    q = np.array(qs)
-    if cc * len(reqs) < u.size:
+        rs = np.array(levels)
+        size = rs - 1
+        row = np.repeat(np.arange(len(levels)), size)
+        j = np.arange(1, size.sum() + 1) - (np.cumsum(size) - size)[row]
+        rr = rs[row]
+        M, rc = 4 * cc * rr, c * rr
+        # a and d reduced mod each level's modulus as Python ints: the
+        # residues fit int64 whatever the size of a and d
+        ad = np.array([[mat.a], [mat.d]], dtype=object) % (4 * cc * rs)
+        A, D = ad.astype(np.int64)[:, row]
+        q = ac * rs % cc
+        pref = rot / np.sqrt(2 * cc * rs)
+    # (a j - 2) j + d, each product reduced: below M (r + 1) <= M^2
+    phase = ((A * j % M - 2) * j + D) % M / (2 * rc)
+    lin = np.exp(1j * (2 * math.pi * j / rc))
+    # H at u = mu a j - 1 mod |c|, mu = 1 in row 0 and -1 in row 1, each in
+    # -|c|..|c| - 1 (an index that wraps once), with q the level of each point:
+    # tabulated on all |c| residues at every level when that takes fewer
+    # entries than the points, else summed at the points
+    t = ac * j % cc
+    u = np.array((t, -t)) - 1
+    if cc * len(levels) < u.size:
         h = _gauss_h(np.arange(cc), q[:, None], c)[row, u]
     else:
         h = _gauss_h(u, q[row], c)
-    return pref * (np.exp(scale * ph) * h).sum(axis=0)
+    return phase, h[0] - lin * h[1], pref
 
 
 def _gauss_h(u: np.ndarray, q: np.ndarray, c: int) -> np.ndarray:
@@ -420,7 +467,7 @@ def _gauss_h(u: np.ndarray, q: np.ndarray, c: int) -> np.ndarray:
     out = 0
     for n0 in range(0, cc, step):
         n = np.arange(n0, min(n0 + step, cc))
-        # u n + q n^2 = (u + q n) n, below 2 |c|^2 before the last reduction
+        # u n + q n^2 = (u + q n) n, below 2 |c|^2 in size before the last reduction
         qn = np.multiply.outer(q, n) % cc
         ph = (u[..., None] + qn) * n % cc
         terms = np.exp(2j * math.pi / c * ph) if roots is None else roots[ph]

@@ -34,6 +34,9 @@ from seifert_rt.modular import (
     ModularDatum,
     check_axioms,
     g_matrix,
+    gauss_columns,
+    gauss_limit,
+    gauss_modulus,
     load_datum,
     mirror_datum,
     save_datum,
@@ -51,6 +54,7 @@ from seifert_rt.seifert import (
 )
 from seifert_rt.sl2z import (
     CF_STYLES,
+    SL2Z,
     cf_expand,
     dedekind_sum,
     linking_matrix,
@@ -503,6 +507,71 @@ def test_column_routes_match_reference_at_large_r(text):
     for res in (tau_generic(datum, data), tau_section5(datum, data), tau_compact(r, data)):
         gate = LARGE_R_GATES[res.method] * max(1.0, abs(ref))
         assert abs(res.value - ref) <= gate, (res.method, abs(res.value - ref) / max(1.0, abs(ref)))
+
+
+# Relative gate of compact's level sweep against cs11_mpmath on the 12-level
+# windows below: ten times the largest relative error measured, rounded up
+# (3.6e-14, on 5/2,7/3 at r = 135..146; the one-row kernel with its merged
+# exponential gave the same or less than the two-row one on every window).
+# Presentations of test_cs11_matches_reference_relative_to_its_size whose
+# summands cancel lose far more, with either kernel: on 2/1,4/1,14/1 at
+# 135..146, tau is 0 at odd r and compact is 2.2e-6 from it.
+COMPACT_SWEEP_GATE = 4e-13
+
+
+@pytest.mark.parametrize(
+    "text, lo",
+    [
+        ("o;g=1;b=2;7/3,11/4,13/5", 39),
+        ("n;g=1;b=-2;16/11,14/3,17/11", 39),
+        ("o;g=0;b=-1;2/1,3/1,5/1", 135),
+        ("n;g=2;b=-3;5/2,7/3", 135),
+    ],
+)
+def test_compact_sweep_matches_reference(text, lo):
+    data = parse_seifert(text)
+    levels = tuple(range(lo, lo + 12))
+    for r, res in zip(levels, invariants.tau_compact_sweep(levels, data), strict=True):
+        ref = cs11_mpmath(r, data)
+        err = abs(res.value - ref) / max(1.0, abs(ref))
+        assert err <= COMPACT_SWEEP_GATE, (r, err)
+
+
+@pytest.mark.parametrize("c", [7, 125, -125, 253083374])
+def test_int64_limit_refuses_where_gauss_modulus_does(c, monkeypatch):
+    """gauss_limit, found once per fiber, is the last level whose modulus
+    4 r |c| has a square below 2^63: gauss_columns and compact's sweep
+    refuse from the next level on, at one level and inside a sweep, with
+    the message of gauss_modulus.  At |c| = 125 the first refused modulus
+    is 3037000500, one past the largest allowed 3037000499.  The levels up
+    to the limit are too large to sum here, so compact's sums are stubbed."""
+    limit = gauss_limit(c)
+    assert 4 * limit * abs(c) <= 3037000499 < 4 * (limit + 1) * abs(c)
+
+    def refused(r: int) -> bool:
+        mod = 4 * r * abs(c)
+        return mod * mod >= 2**63
+
+    assert not refused(limit) and refused(limit + 1)
+    assert gauss_modulus(limit, c) == 4 * limit * abs(c)
+    with pytest.raises(OverflowError) as exc:
+        gauss_modulus(limit + 1, c)
+    message = str(exc.value)
+    assert message == f"int64 Gauss phase overflow at r = {limit + 1}, c = {c}"
+    for levels in ((limit + 1,), (limit - 1, limit, limit + 1, limit + 2)):
+        with pytest.raises(OverflowError) as exc:
+            gauss_columns(SL2Z(1, 0, c, 1), levels)
+        assert str(exc.value) == message
+    monkeypatch.setattr(invariants, "_compact_sums", lambda levels, *_: [0j] * len(levels))
+    alpha = abs(c)
+    data = SeifertData("o", 0, -1, ((2, 1), (alpha, 1)))
+    message = f"int64 Gauss phase overflow at r = {limit + 1}, c = {alpha}"
+    levels = (limit - 1, limit, limit + 1, limit + 2)
+    sweep = invariants.tau_compact_sweep(levels, data)
+    assert [x.r for x in sweep[:2]] == [limit - 1, limit]
+    assert [(type(x), str(x)) for x in sweep[2:]] == [(OverflowError, message)] * 2
+    (alone,) = invariants.tau_compact_sweep((limit + 1,), data)
+    assert (type(alone), str(alone)) == (OverflowError, message)
 
 
 def test_column_routes_stay_linear_in_memory():

@@ -142,6 +142,27 @@ def test_datum_validation_errors():
         )
 
 
+def test_datum_validation_messages():
+    """The checks of dual and eps keep their messages, eps naming its first
+    bad entry, also one that cannot be hashed."""
+    cases = [
+        ({"dual": (0, 1, 1)}, "dual must be an involutive permutation"),
+        ({"n": 4, "dual": (0, 2, 3, 1), "eps": (1,) * 4}, "dual must be an involutive permutation"),
+        ({"dual": (0, 1, 3)}, "dual must be an involutive permutation"),
+        ({"dual": (1, 0, 2)}, "unit label must be self-dual"),
+        ({"dual": (0, 1.0, 2)}, "dual must be an involutive permutation"),
+        ({"n": 4, "dual": (0, 2.0, 1, 3), "eps": (1,) * 4}, "dual must be an involutive permutation"),
+        ({"eps": (1, 2.5, "x")}, "eps entries must be +-1 or None, got 2.5"),
+        ({"eps": (1, [1], 2)}, "eps entries must be +-1 or None, got [1]"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as exc:
+            toy_datum(**kwargs)
+        assert str(exc.value) == message, kwargs
+    assert toy_datum(n=4, dual=(0, 2, 1, 3), eps=(1, None, None, -1)).dual == (0, 2, 1, 3)
+    assert sl2_datum(6).eps == (1, -1, 1, -1, 1)
+
+
 def test_datum_arrays_read_only():
     d = sl2_datum(5)
     with pytest.raises(ValueError):
@@ -318,6 +339,17 @@ def test_gauss_columns_over_levels_match_shift_loop(mat, lo, width):
     levels = tuple(range(lo, lo + width))
     want = np.concatenate([gauss_loop(mat, r)[:, 0] for r in levels])
     assert np.max(np.abs(gauss_columns(mat, levels) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("a0, c", [(2**63, 3), (-(2**64), 5), (3 * 2**70, 7)])
+def test_gauss_columns_over_levels_take_entries_past_int64(a0, c):
+    """a and d are reduced mod each level's modulus as Python ints: an
+    entry past int64, or in uint64 range, gives each level's column."""
+    a = next(a for a in range(a0, a0 + c) if (a - 1) % c == 0)
+    mat = SL2Z(a, (a - 1) // c, c, 1)
+    levels = (5, 6, 7)
+    want = np.concatenate([r_rep_gauss(mat, r) for r in levels])
+    assert np.max(np.abs(gauss_columns(mat, levels) - want)) <= 1e-14
 
 
 def test_gauss_columns_need_ascending_levels():

@@ -24,9 +24,11 @@ OLD_SRC tree writes once into a temporary directory, so both trees read the
 same datum), the graph_sum state sum (the largest sum its caps allow, the
 same one level up, refused by the term cap, and a genus-2 sum with three
 chains), and the exact arithmetic: wide Euler denominators, huge slopes and
-framings, and a refused int64 bound.  No fiber order sits just below the
-int64 bound, where a single level sums about 1e10 phases.  The 498 calls
-take about 6 s per tree on a 2-core x86 VM.
+framings, and a refused int64 bound.  compact alone runs over a window of
+12 levels, over levels whose centered pairs differ, with a fiber summed at
+the points, and refused by its int64 bound.  No fiber order sits just
+below the int64 bound, where a single level sums about 1e10 phases.  The
+502 calls take about 6 s per tree on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ FIXED_CALLS = [
     ("compute", "o;g=0;b=-1;4001/1,4003/1,4007/1,4013/1", "--r", "50", *CS11_COMPACT),
     ("compute", "o;g=0;b=0;100001/100000", "--r", "5", *CS11_COMPACT),
     ("lens", "1499", "7", "--r", "3..60"),
+    # compact alone: a 12-level window, three groups of centered pairs
+    # (2/25 is 2/1, 2/-7 and 2/-15 at r = 3, 4, 5), a fiber of order 20011
+    # summed at the points, and an int64 refusal from the first level
+    ("compute", "n;g=1;b=-3;4/3,5/2,6/5", "--r", "135..146", "--method", "compact", "--format", "json"),
+    ("compute", "nn:o;g=2;2/25,3/1", "--r", "3..5", "--method", "compact", "--format", "json"),
+    ("compute", "o;g=0;b=-1;20011/3", "--r", "100", "--method", "compact", "--format", "json"),
+    ("compute", "o;g=0;b=-1;2/1,300000000/1", "--r", "3..5", "--method", "compact"),
     # the chain routes: a window of large levels, an overflow of D^(2g - 2)
     # from r = 6 on, and a loaded datum
     ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "140..160", *CHAIN_ROUTES),
