@@ -14,8 +14,8 @@ its cost (ComplexityCap) at a level; where every route refuses, the
 first route's refusal is the error.  A method named with --method that
 refuses exits with code 2, or 3 for a complexity cap: the first refusal
 of the walk.  A route that refuses a level refuses every higher level
-too (see invariants).  graph_sum's caps are fixed in tau_graph_sum.
-lens_direct is reached only through lens.
+too (see invariants).  graph_sum's caps are the constants GRAPH_*_CAP of
+invariants.  lens_direct is reached only through lens.
 Every subcommand prints through emit_records.
 
 Each setting is checked once: by argparse (choices, or the type= of
@@ -25,9 +25,10 @@ flags it reads.
 
 Exit codes, mapped from errors in main alone: 0 success, 1 verification
 failure (a value that is not finite fails verify and lens), 2 malformed
-input or configuration, 3 a request too large (a complexity cap, or a
-value beyond floating-point range: a route that overflows, named with
-its level, or a compute value that is not finite).
+input or configuration, 3 a request too large (a complexity cap, among
+them the int64 phase bounds of cs11 and compact, named with the route and
+level as an overflow is, or a value beyond floating-point range: a route
+that overflows, or a compute value that is not finite).
 Output is byte-identical for identical inputs, options, and seed.
 """
 
@@ -110,12 +111,13 @@ def random_seifert(rng: random.Random) -> SeifertData:
 
 def evaluate(method: str, r: int, entry: Entry) -> InvariantResult:
     """A route's entry at level r: its result, or what it raised there,
-    raised again; an overflow names the route and the level."""
-    if isinstance(entry, OverflowError):
-        raise OverflowError(f"{method} at r = {r}: {entry}") from None
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
+    raised again; an overflow, or an int64 bound's cap raised from one,
+    names the route and the level."""
+    if not isinstance(entry, Exception):
+        return entry
+    if isinstance(entry, OverflowError) or isinstance(entry.__cause__, OverflowError):
+        raise type(entry)(f"{method} at r = {r}: {entry}") from None
+    raise entry
 
 
 def run_routes(

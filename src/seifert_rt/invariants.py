@@ -44,16 +44,18 @@ routes; generic, section5 and graph_sum take their chain digits through
 one capped expansion, _capped_chains, each with its own cap.  cs11 and
 compact read no digits.
 
-ROUTES names the five, in this order, each with an adapter
-run(levels, datum, data) that takes the ascending tuple of levels, a
-loaded datum or None, and the presentation, and returns one entry per
-level: the InvariantResult, or the ComplexityCap, Unsupported or
-OverflowError that the route raised at that level.  A route stops at its
-first refusal, which stands for every higher level: each refusal either
-ignores the level or grows with r.  generic, graph_sum and section5 read
-a datum, the built-in sl2 one unless a datum is loaded, and expand
-slopes in the default minus style; cs11 and compact depend on r alone
-and refuse a loaded datum.  InvariantResult accepts these names only.
+ROUTES maps the five names, in output order, to their sweeps
+sweep(levels, datum, data): the ascending levels, a loaded datum or None
+for the built-in sl2 one, and the presentation, expanded in the default
+minus style.  Each returns one entry per level: the InvariantResult, or
+the ComplexityCap, Unsupported or OverflowError raised there.  A route
+stops at its first refusal, which stands for every higher level: each
+refusal ignores the level (the chain caps, the base checks, a loaded
+datum, cs11's alpha^2 bound) or grows with r (graph_sum's level and term
+caps, compact's int64 bound (4 r |c|)^2, a float power of r).  Both int64
+bounds are ComplexityCaps raised from the OverflowError they prevent.
+The routes share no numeric code through the table, since their
+agreement is the cross-check.  InvariantResult accepts these names only.
 tau_lens_routes evaluates a lens space along two internal routes; there
 are also Verlinde dimensions.
 
@@ -117,6 +119,11 @@ CS11_BLOCK = 2**14
 # that is about 0.14 s and 3 MB once, then 0.1-0.2 s per level up to r = 200 on
 # a 2-core x86 VM; 2/2000001 alone has 1000001 digits
 CHAIN_CAP = 10_000
+# graph_sum's caps, checked in this order before its plumbing block is built:
+# digits of all its chains, the level, and the nl^m terms of its state sum
+GRAPH_CHAIN_CAP = 8
+GRAPH_R_CAP = 10
+GRAPH_TERM_CAP = 500_000
 
 
 class ComplexityCap(RuntimeError):
@@ -163,6 +170,14 @@ def _single(entries: list[Entry]) -> InvariantResult:
     if isinstance(entry, Exception):
         raise entry
     return entry
+
+
+def _int64_cap(exc: OverflowError) -> ComplexityCap:
+    """The refusal of an int64 bound: a cap, which auto mode skips, raised
+    from the overflow it prevents."""
+    cap = ComplexityCap(str(exc))
+    cap.__cause__ = exc
+    return cap
 
 
 def _tol(r: int, work: int) -> float:
@@ -323,11 +338,11 @@ def _cs11_exact(data: SeifertData) -> tuple[tuple[int, int], int, int, int, tupl
 def tau_cs11(r: int, data: SeifertData) -> InvariantResult:
     """Closed number-theoretic evaluation at level r, sl2 datum only:
     tau_cs11_sweep at the one level."""
-    return _single(tau_cs11_sweep((r,), data))
+    return _single(tau_cs11_sweep((r,), None, data))
 
 
 def tau_cs11_sweep(
-    levels: tuple[int, ...], data: SeifertData
+    levels: tuple[int, ...], datum: ModularDatum | None, data: SeifertData
 ) -> list[Entry]:
     """Closed number-theoretic evaluation at each of the ascending levels.
 
@@ -348,8 +363,11 @@ def tau_cs11_sweep(
 
     One entry per level: the result, or the OverflowError of the first
     level that overflows, repeated at every higher level (a float power of
-    r; alpha^2 past int64 does not depend on r and refuses every level).
+    r).  A loaded datum (Unsupported) and alpha^2 past int64 (ComplexityCap)
+    do not depend on r and refuse every level.
     """
+    if datum is not None:
+        return [Unsupported("method 'cs11' needs the built-in sl2 datum")] * len(levels)
     pairs = data.pairs
     n = len(pairs)
     g = data.genus
@@ -360,7 +378,8 @@ def tau_cs11_sweep(
     e, es, A, X, bstars = _cs11_exact(data)
     wide = next((alpha for alpha, _ in pairs if alpha * alpha >= 2**63), None)
     if wide is not None and levels:
-        return [OverflowError(f"int64 phase overflow at r = {levels[0]}, alpha = {wide}")] * len(levels)
+        exc = OverflowError(f"int64 phase overflow at r = {levels[0]}, alpha = {wide}")
+        return [_int64_cap(exc)] * len(levels)
     prefs = []
     for r in levels:
         try:
@@ -488,11 +507,11 @@ def _compact_exact(pairs: tuple[tuple[int, int], ...]) -> tuple[tuple[SL2Z, ...]
 def tau_compact(r: int, data: SeifertData) -> InvariantResult:
     """Gauss-sum product evaluation at level r, sl2 datum only:
     tau_compact_sweep at the one level."""
-    return _single(tau_compact_sweep((r,), data))
+    return _single(tau_compact_sweep((r,), None, data))
 
 
 def tau_compact_sweep(
-    levels: tuple[int, ...], data: SeifertData
+    levels: tuple[int, ...], datum: ModularDatum | None, data: SeifertData
 ) -> list[Entry]:
     """Gauss-sum product evaluation at each of the ascending levels, sl2
     datum only, no continued fractions.
@@ -510,10 +529,13 @@ def tau_compact_sweep(
     transcendentals a point with each pair's linear factor and the sine,
     and the constants of a level multiply its sum.
 
-    One entry per level: the result, or the OverflowError of the first
+    One entry per level: the result, or the ComplexityCap of the first
     level whose Gauss phases pass int64 (past gauss_limit of some alpha,
-    raised by gauss_modulus), repeated at every higher level.
+    from gauss_modulus's OverflowError), repeated at every higher level.
+    A loaded datum is refused at every level (Unsupported).
     """
+    if datum is not None:
+        return [Unsupported("method 'compact' needs the built-in sl2 datum")] * len(levels)
     pairs = data.pairs
     n = len(pairs)
     g = data.genus
@@ -528,13 +550,13 @@ def tau_compact_sweep(
     # the first level past the int64 limit of some fiber refuses, with every higher one
     limit = min((gauss_limit(alpha) for alpha, _ in pairs), default=math.inf)
     cut = bisect.bisect_right(levels, limit)
-    stop: list[OverflowError] = []
+    stop: list[ComplexityCap] = []
     if cut < len(levels):
         try:
             for alpha, _ in pairs:
                 gauss_modulus(levels[cut], alpha)
         except OverflowError as exc:
-            stop = [exc] * (len(levels) - cut)
+            stop = [_int64_cap(exc)] * (len(levels) - cut)
     kept = levels[:cut]
     groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
     for r in kept:
@@ -630,25 +652,24 @@ def _graph_sum_exact(
 
 
 def _graph_sum_caps(
-    r: int, data: SeifertData, cf_style: str = "minus",
-    chain_cap: int = 8, r_cap: int = 10, max_terms: int = 500_000,
+    r: int, data: SeifertData, cf_style: str = "minus"
 ) -> tuple[SeifertData, tuple[tuple[int, ...], ...]]:
     """The refusals of tau_graph_sum at level r, in order: its base, then
-    its three complexity caps (total chain length, level, term count).
-    None reads a datum.  Returns the first exact stage, _graph_sum_chains."""
+    GRAPH_CHAIN_CAP, GRAPH_R_CAP and GRAPH_TERM_CAP.  None reads a datum.
+    Returns the first exact stage, _graph_sum_chains."""
     if data.base != "o":
         raise Unsupported("graph state sum needs an orientable base")
-    mm, cfs = _graph_sum_chains(data, cf_style, chain_cap)
-    if r > r_cap:
-        raise ComplexityCap(f"level r = {r} exceeds cap {r_cap}")
+    mm, cfs = _graph_sum_chains(data, cf_style, GRAPH_CHAIN_CAP)
+    if r > GRAPH_R_CAP:
+        raise ComplexityCap(f"level r = {r} exceeds cap {GRAPH_R_CAP}")
     mtot = 1 + sum(map(len, cfs))
-    if (r - 1) ** mtot > max_terms:
-        raise ComplexityCap(f"{r - 1}^{mtot} terms exceed cap {max_terms}")
+    if (r - 1) ** mtot > GRAPH_TERM_CAP:
+        raise ComplexityCap(f"{r - 1}^{mtot} terms exceed cap {GRAPH_TERM_CAP}")
     return mm, cfs
 
 
 def tau_graph_sum(
-    datum: ModularDatum, data: SeifertData, cf_style: str = "minus", **caps: int
+    datum: ModularDatum, data: SeifertData, cf_style: str = "minus"
 ) -> InvariantResult:
     """Brute-force plumbing state sum (orientable base only).
 
@@ -656,15 +677,14 @@ def tau_graph_sum(
     mirror datum's graph weights over every label assignment: one complex
     tensor with an axis per plumbing vertex, nl^m values for m vertices,
     grown one vertex at a time with every term formed explicitly (at most
-    7.5 MB at the default term cap: the last tensor and the one before it).
+    7.5 MB at the term cap: the last tensor and the one before it).
     Wholly independent of the chain algebra in the other routes, and
-    guarded by three complexity caps, caps being any of chain_cap (8),
-    r_cap (10) and max_terms (500 000) of _graph_sum_caps, all checked in
-    that order before the plumbing block is built; the chain digits are
-    taken one at a time up to the cap.
+    guarded by the three complexity caps of _graph_sum_caps, all checked
+    before the plumbing block is built; the chain digits are taken one at
+    a time up to the cap.
     """
     r = datum.n_labels + 1
-    mm, cfs = _graph_sum_caps(r, data, cf_style, **caps)
+    mm, cfs = _graph_sum_caps(r, data, cf_style)
     mtot = 1 + sum(map(len, cfs))
     nl = datum.n_labels
     g, B, sig, bexp = _graph_sum_exact(mm, cfs)
@@ -691,6 +711,23 @@ def tau_graph_sum(
     return InvariantResult(
         complex(val), r, "graph_sum", sig, _tol(r, mtot + nl ** (mtot - 1))
     )
+
+
+def tau_graph_sum_sweep(
+    levels: tuple[int, ...], datum: ModularDatum | None, data: SeifertData
+) -> list[Entry]:
+    """tau_graph_sum at each of the ascending levels, on the loaded datum or
+    the built-in sl2 datum of each level, until the first refusal or
+    overflow, which stands for that level and every higher one.  The caps
+    are checked first at each level, so a refusal builds no datum."""
+    out: list[Entry] = []
+    for r in levels:
+        try:
+            _graph_sum_caps(r, data)
+            out.append(tau_graph_sum(sl2_datum(r) if datum is None else datum, data))
+        except (ComplexityCap, Unsupported, OverflowError) as exc:
+            return out + [exc] * (len(levels) - len(out))
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -782,55 +819,13 @@ def tau_section5_sweep(
     return out + stop
 
 
-def _each_level(
-    levels: tuple[int, ...], dm: ModularDatum | None, check: Callable[[int], object],
-    run: Callable[[ModularDatum], InvariantResult],
-) -> list[Entry]:
-    """check(r), the route's refusals that read no datum, then run on the
-    loaded datum dm or the built-in sl2 datum at r, at each ascending level
-    r until the first refusal or overflow, which then stands for that
-    level and every higher one.  So a refusal builds no datum."""
-    out: list[Entry] = []
-    for r in levels:
-        try:
-            check(r)
-            out.append(run(sl2_datum(r) if dm is None else dm))
-        except (ComplexityCap, Unsupported, OverflowError) as exc:
-            return out + [exc] * (len(levels) - len(out))
-    return out
-
-
-def _refuse_datum(name: str, levels: tuple[int, ...]) -> list[Entry]:
-    """An sl2 closed form's refusal of a loaded datum, at every level."""
-    return [Unsupported(f"method {name!r} needs the built-in sl2 datum")] * len(levels)
-
-
-# Each adapter is run(levels, datum, data), with levels ascending and datum the
-# loaded datum or None for the built-in one; continued fractions take the
-# routes' default style.  It returns one entry per level: the result, or the
-# ComplexityCap or Unsupported refusal, or the OverflowError, that the route
-# raised at that level.  A route stops at its first refusal, which stands for
-# every higher level too: each one either ignores the level (the chain caps,
-# the base checks, a loaded datum, cs11's alpha^2 bound) or grows with r
-# (graph_sum's level and term caps, compact's int64 bound (4 r |c|)^2, a float
-# power of r).  generic, section5, cs11 and compact sweep their numeric stage
-# over all the levels at once, each level summed on its own slice; graph_sum
-# runs level by level.  The datum routes raise the refusals that read no datum
-# (their exact stage, or graph_sum's caps at their defaults in _graph_sum_caps)
-# before any datum is built.
-# Adapters only: the routes must not share numeric code through this table,
-# since their agreement is the cross-check.  The order is the output order.
+# Each entry looks its sweep up by name when called, so a wrapper set later on
+# the module attribute (a tracer's span) sees the call.  The order is the output order.
 ROUTES: dict[str, Callable[[tuple[int, ...], ModularDatum | None, SeifertData], list[Entry]]] = {
     "generic": lambda levels, dm, data: tau_generic_sweep(levels, dm, data),
-    "cs11": lambda levels, dm, data: (
-        tau_cs11_sweep(levels, data) if dm is None else _refuse_datum("cs11", levels)
-    ),
-    "compact": lambda levels, dm, data: (
-        tau_compact_sweep(levels, data) if dm is None else _refuse_datum("compact", levels)
-    ),
-    "graph_sum": lambda levels, dm, data: _each_level(
-        levels, dm, lambda r: _graph_sum_caps(r, data), lambda d: tau_graph_sum(d, data)
-    ),
+    "cs11": lambda levels, dm, data: tau_cs11_sweep(levels, dm, data),
+    "compact": lambda levels, dm, data: tau_compact_sweep(levels, dm, data),
+    "graph_sum": lambda levels, dm, data: tau_graph_sum_sweep(levels, dm, data),
     "section5": lambda levels, dm, data: tau_section5_sweep(levels, dm, data),
 }
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from seifert_rt import invariants
 from seifert_rt.cli import random_seifert
 from seifert_rt.invariants import (
     ComplexityCap,
@@ -132,7 +133,8 @@ def jn_variant(data: SeifertData, rng: random.Random) -> SeifertData:
 # ------------------------------------------------------------------ gate
 
 
-def test_criterion_01_unit_values():
+def test_criterion_01_unit_values(monkeypatch):
+    monkeypatch.setattr(invariants, "GRAPH_R_CAP", 16)
     t0 = time.perf_counter()
     worst = 0.0
     for r in range(3, 17):
@@ -144,7 +146,7 @@ def test_criterion_01_unit_values():
                 tau_cs11(r, data).value,
                 tau_compact(r, data).value,
                 tau_section5(datum, data).value,
-                tau_graph_sum(datum, data, r_cap=16).value,
+                tau_graph_sum(datum, data).value,
             ]
             worst = max(worst, max(abs(v - expected) for v in vals))
     dt = time.perf_counter() - t0

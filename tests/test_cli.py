@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import itertools
 import json
@@ -228,6 +229,27 @@ def test_int64_phase_bound_exits_3(capsys, argv, named):
     assert out == ""
     assert err.startswith(f"error: {named} at r = 3000: int64")
     assert err.count("\n") == 1
+
+
+def test_auto_skips_the_int64_bounds(capsys):
+    # cs11's alpha^2 and compact's (4 r alpha)^2 pass int64 at every level:
+    # both are complexity caps, which auto mode skips (r = 3 only: from r = 5
+    # the chain routes' unreduced twists drift apart on this fiber)
+    argv = ["compute", "o;g=0;b=-1;3037000501/1", "--r", "3", "--format", "json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert [row["method"] for row in json.loads(out)] == ["generic", "graph_sum", "section5"]
+
+
+def test_same_output_calls_parse():
+    # the fixed calls of tools/same_output.py are valid command lines
+    path = Path(__file__).parents[1] / "tools" / "same_output.py"
+    spec = importlib.util.spec_from_file_location("same_output", path)
+    same_output = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_output)
+    parser = cli.build_parser()
+    for argv in same_output.FIXED_CALLS:
+        parser.parse_args(list(argv))
 
 
 def test_main_builds_its_parser_once(capsys):

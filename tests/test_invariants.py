@@ -351,7 +351,7 @@ def test_cs11_reduces_a_wide_euler_denominator_exactly():
     lost unless they are reduced; cs11 still agrees with compact."""
     data = parse_seifert("o;g=1;b=768614336404564650;1009/2,1013/5,1019/3,1021/4,1031/6,1033/7")
     assert 4 * 3 * 3 * euler_number(data).denominator >= 2**63
-    for res in invariants.tau_cs11_sweep((3, 4, 5, 6), data):
+    for res in invariants.tau_cs11_sweep((3, 4, 5, 6), None, data):
         other = tau_compact(res.r, data)
         assert abs(res.value - other.value) <= 1e-13 * max(1.0, abs(other.value)), res.r
 
@@ -392,12 +392,12 @@ def test_cs11_exact_stage_is_the_fraction_formulas_in_integers(data):
 
 
 def test_single_level_calls_raise_their_overflow():
-    """tau_cs11 and tau_compact raise the OverflowError that their sweep
+    """tau_cs11 and tau_compact raise the ComplexityCap that their sweep
     enters at the one level: alpha^2 and (4 r alpha)^2 pass int64."""
     data = parse_seifert("o;g=0;b=-1;3037000501/1")
-    with pytest.raises(OverflowError, match="int64 phase overflow at r = 3, alpha = 3037000501"):
+    with pytest.raises(ComplexityCap, match="int64 phase overflow at r = 3, alpha = 3037000501"):
         tau_cs11(3, data)
-    with pytest.raises(OverflowError, match="int64 Gauss phase overflow at r = 3, c = 3037000501"):
+    with pytest.raises(ComplexityCap, match="int64 Gauss phase overflow at r = 3, c = 3037000501"):
         tau_compact(3, data)
 
 
@@ -531,7 +531,7 @@ COMPACT_SWEEP_GATE = 4e-13
 def test_compact_sweep_matches_reference(text, lo):
     data = parse_seifert(text)
     levels = tuple(range(lo, lo + 12))
-    for r, res in zip(levels, invariants.tau_compact_sweep(levels, data), strict=True):
+    for r, res in zip(levels, invariants.tau_compact_sweep(levels, None, data), strict=True):
         ref = cs11_mpmath(r, data)
         err = abs(res.value - ref) / max(1.0, abs(ref))
         assert err <= COMPACT_SWEEP_GATE, (r, err)
@@ -567,11 +567,11 @@ def test_int64_limit_refuses_where_gauss_modulus_does(c, monkeypatch):
     data = SeifertData("o", 0, -1, ((2, 1), (alpha, 1)))
     message = f"int64 Gauss phase overflow at r = {limit + 1}, c = {alpha}"
     levels = (limit - 1, limit, limit + 1, limit + 2)
-    sweep = invariants.tau_compact_sweep(levels, data)
+    sweep = invariants.tau_compact_sweep(levels, None, data)
     assert [x.r for x in sweep[:2]] == [limit - 1, limit]
-    assert [(type(x), str(x)) for x in sweep[2:]] == [(OverflowError, message)] * 2
-    (alone,) = invariants.tau_compact_sweep((limit + 1,), data)
-    assert (type(alone), str(alone)) == (OverflowError, message)
+    assert [(type(x), str(x)) for x in sweep[2:]] == [(ComplexityCap, message)] * 2
+    (alone,) = invariants.tau_compact_sweep((limit + 1,), None, data)
+    assert (type(alone), str(alone)) == (ComplexityCap, message)
 
 
 def test_column_routes_stay_linear_in_memory():
@@ -827,14 +827,16 @@ def test_graph_sum_largest_state_sum_stays_small_in_memory():
 # ------------------------------------------------------- guards and caps
 
 
-def test_graph_sum_caps():
+def test_graph_sum_caps(monkeypatch):
     d = sl2_datum(5)
+    with monkeypatch.context() as m, pytest.raises(ComplexityCap):
+        m.setattr(invariants, "GRAPH_CHAIN_CAP", 2)
+        tau_graph_sum(d, POINCARE)
     with pytest.raises(ComplexityCap):
-        tau_graph_sum(d, POINCARE, chain_cap=2)
-    with pytest.raises(ComplexityCap):
-        tau_graph_sum(sl2_datum(12), S3_PLUS, r_cap=10)
-    with pytest.raises(ComplexityCap):
-        tau_graph_sum(d, POINCARE, max_terms=10)
+        tau_graph_sum(sl2_datum(12), S3_PLUS)
+    with monkeypatch.context() as m, pytest.raises(ComplexityCap):
+        m.setattr(invariants, "GRAPH_TERM_CAP", 10)
+        tau_graph_sum(d, POINCARE)
 
 
 def test_generic_chain_cap_counts_digits_as_given():
@@ -863,10 +865,12 @@ def test_graph_sum_checks_every_cap_before_building_its_block(monkeypatch):
     invariants._graph_sum_exact.cache_clear()
     with pytest.raises(ComplexityCap, match="level r = 12 exceeds cap 10"):
         tau_graph_sum(sl2_datum(12), POINCARE)
+    monkeypatch.setattr(invariants, "GRAPH_TERM_CAP", 10)
     with pytest.raises(ComplexityCap, match="terms exceed cap 10"):
-        tau_graph_sum(sl2_datum(5), POINCARE, max_terms=10)
+        tau_graph_sum(sl2_datum(5), POINCARE)
+    monkeypatch.setattr(invariants, "GRAPH_CHAIN_CAP", 2)
     with pytest.raises(ComplexityCap, match="graph_sum chain length exceeds cap 2"):
-        tau_graph_sum(sl2_datum(12), POINCARE, chain_cap=2)
+        tau_graph_sum(sl2_datum(12), POINCARE)
 
 
 def test_section5_chain_cap_counts_normalized_digits():
@@ -981,7 +985,7 @@ def test_warm_exact_stages_give_bit_identical_values(order):
 @example(data=parse_seifert("n;g=1;b=2;7/3,5/2"), lo=3, width=198)
 @settings(max_examples=40, deadline=None)
 def test_sweep_equals_single_levels(data, lo, width):
-    """Every route's adapter over a window of levels gives, at each level,
+    """Every route's sweep over a window of levels gives, at each level,
     what it gives at that level alone: the same value to 1e-14 max(1, |tau|)
     (only a sum blocked differently may move it), or a refusal of the same
     kind, since a refusal stands for every higher level."""
@@ -1064,7 +1068,7 @@ def test_real_and_complex_s_products_agree(data, r, loaded_sl2):
 
 def test_sweeps_need_ascending_levels():
     with pytest.raises(ValueError, match="ascend"):
-        invariants.tau_cs11_sweep((5, 4), POINCARE)
+        invariants.tau_cs11_sweep((5, 4), None, POINCARE)
 
 
 def test_a_refusal_stands_for_every_higher_level():
@@ -1078,6 +1082,22 @@ def test_a_refusal_stands_for_every_higher_level():
     sweep = ROUTES["generic"]((3, 4, 5), None, parse_seifert("nn:o;g=0;2/20003"))
     cap = invariants.CHAIN_CAP
     assert [str(e) for e in sweep] == [f"generic chain length exceeds cap {cap}"] * 3
+
+
+def test_every_route_is_one_sweep_of_levels_datum_and_data(loaded_sl2):
+    """Every route of ROUTES is sweep(levels, datum, data): no levels give
+    no entries, cs11 and compact refuse a loaded datum at every level, and
+    graph_sum on a loaded datum is tau_graph_sum on it."""
+    dl = loaded_sl2[5]
+    for name, sweep in ROUTES.items():
+        assert sweep((), None, POINCARE) == [], name
+        assert sweep((), dl, POINCARE) == [], name
+    for name in ("cs11", "compact"):
+        entries = ROUTES[name]((3, 4, 5), dl, POINCARE)
+        assert [(type(e), str(e)) for e in entries] == [
+            (Unsupported, f"method {name!r} needs the built-in sl2 datum")
+        ] * 3
+    assert ROUTES["graph_sum"]((5,), dl, POINCARE) == [tau_graph_sum(dl, POINCARE)]
 
 
 def test_nonorientable_base_unsupported_routes():

@@ -21,14 +21,16 @@ fixed calls that cover the subcommands, large fibers over several chunks of
 levels, the chain routes' sweeps (a window of large levels, a float
 overflow part way through a window, and a loaded datum, whose file the
 OLD_SRC tree writes once into a temporary directory, so both trees read the
-same datum), the graph_sum state sum (the largest sum its caps allow, the
-same one level up, refused by the term cap, and a genus-2 sum with three
-chains), and the exact arithmetic: wide Euler denominators, huge slopes and
-framings, and a refused int64 bound.  compact alone runs over a window of
-12 levels, over levels whose centered pairs differ, with a fiber summed at
-the points, and refused by its int64 bound.  No fiber order sits just
-below the int64 bound, where a single level sums about 1e10 phases.  The
-502 calls take about 6 s per tree on a 2-core x86 VM.
+same datum), each of cs11, compact and graph_sum on that loaded datum, the
+graph_sum state sum (the largest sum its caps allow, the same one level up,
+refused by the term cap, and a genus-2 sum with three chains), and the
+exact arithmetic: wide Euler denominators, huge slopes and framings, and
+an int64 bound, refused when named and skipped in auto mode.  compact
+alone runs over a window of 12 levels, over levels whose centered pairs
+differ, with a fiber summed at the points, and refused by its int64
+bound.  No fiber order sits just below the int64 bound, where a single
+level sums about 1e10 phases.  The 506 calls take about 6 s per tree on a
+2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ FIXED_CALLS = [
     ("compute", "o;g=287;b=-1;4/3,5/4", "--r", "3..8", *CHAIN_ROUTES),
     ("compute", "o;g=1;b=2;7/3,5/2", "--datum", DATUM),
     ("compute", "n;g=1;b=1;3/2,5/3", "--datum", DATUM, "--method", "generic"),
+    # each sweep on the loaded datum: cs11 and compact refuse it, graph_sum sums on it
+    ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--datum", DATUM, "--method", "cs11"),
+    ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--datum", DATUM, "--method", "compact"),
+    ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--datum", DATUM, "--method", "graph_sum"),
     # graph_sum: 5^8 terms at r = 6, 6^8 over the term cap at r = 7, and genus 2
     ("compute", "o;g=0;b=-2;8/7", "--r", "6", "--method", "graph_sum"),
     ("compute", "o;g=0;b=-2;8/7", "--r", "7", "--method", "graph_sum"),
@@ -92,6 +98,8 @@ FIXED_CALLS = [
     ("compute", "o;g=0;b=768614336404564650;3/2,2/1", "--r", "3..12"),
     ("compute", "nn:n;g=2;5/-12,7/9,3/100", "--r", "3..40", "--method", "cs11"),
     ("compute", "o;g=0;b=-1;3037000501/1", "--r", "3..5", "--method", "cs11"),
+    # auto mode skips both int64 bounds
+    ("compute", "o;g=0;b=-1;3037000501/1", "--r", "3"),
     ("compute", "o;g=0;b=0;", "--r", "2..30"),
     ("compute", "n;g=3;b=5;", "--r", "2..30", "--method", "cs11"),
 ]
