@@ -16,7 +16,9 @@ refuses exits with code 2, or 3 for a complexity cap: the first refusal
 of the walk.  A route that refuses a level refuses every higher level
 too (see invariants).  graph_sum's caps are the constants GRAPH_*_CAP of
 invariants.  lens_direct is reached only through lens.
-Every subcommand prints through emit_records.
+Every subcommand prints through emit_records: rows of raw values under
+one header, each number rounded to 15 significant digits only where it is
+printed, so the gates and the worst case read the raw values.
 
 Each setting is checked once: by argparse (choices, or the type= of
 --tolerance) or by the function that consumes it (parse_r_spec for --r,
@@ -38,10 +40,10 @@ import argparse
 import cmath
 import csv
 import functools
-import json
 import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -71,11 +73,6 @@ def parse_r_spec(text: str) -> tuple[int, ...]:
     if lo < 2:
         raise ValueError(f"need r >= 2, got {lo}")
     return tuple(range(lo, hi + 1))
-
-
-def f15(x: float) -> float:
-    """Round-trip through 15 significant digits for stable output."""
-    return float(f"{x:.15g}")
 
 
 def random_seifert(rng: random.Random) -> SeifertData:
@@ -170,92 +167,107 @@ def _max_gap(values: list[complex]) -> float:
     return max((abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]), default=0.0)
 
 
-def _value_fields(val: complex) -> dict:
-    return {
-        "re": f15(val.real),
-        "im": f15(val.imag),
-        "abs": f15(abs(val)),
-        "phase": f15(cmath.phase(val)),
-    }
+RESULT_COLUMNS = ("r", "method", "re", "im", "abs", "phase", "sigma", "tolerance")
+LENS_COLUMNS = ("r", "method", "route", "re", "im", "abs", "phase", "sigma", "diff")
+VERIFY_COLUMNS = ("input", "r", "methods", "max_diff", "ok")
+AXIOMS_COLUMNS = ("r", "check", "residual", "ok")
 
 
-def result_record(res: InvariantResult) -> dict:
-    return {
-        "r": res.r,
-        "method": res.method,
-        **_value_fields(res.value),
-        "sigma": res.sigma_used,
-        "tolerance": f15(res.tolerance_estimate),
-    }
+def result_record(res: InvariantResult) -> tuple:
+    """res as a row under RESULT_COLUMNS."""
+    val = res.value
+    return (res.r, res.method, val.real, val.imag, abs(val), cmath.phase(val),
+            res.sigma_used, res.tolerance_estimate)
 
 
 def emit_records(
-    rows: list[dict],
+    columns: tuple[str, ...],
+    rows: list[tuple],
     output: str,
     summary: dict | None = None,
     text: str | None = None,
     footer: str | None = None,
 ) -> None:
-    """Print a non-empty list of records in the output format; the columns
-    are the keys of the first record, in order.
+    """Print a non-empty list of rows, tuples of flat values (None, a bool,
+    a number or a string) under the non-empty header columns, as records.
 
-    JSON is the list of rows, or {**summary, "rows": rows} when a summary
-    is given.  Text is an aligned table, or text.format(**row, mark=...)
-    per row when a row format is given (mark is ok or FAIL from the row's
-    ok), followed by the footer.
+    A float prints as its 15 significant digits "%.15g" % x in text and
+    CSV, and in JSON as json.dumps writes that rounded float.  JSON is
+    json.dumps(doc, indent=1) for doc = the records, or {**summary, "rows":
+    records} when a summary is given.  Text is an aligned table, or
+    text.format(**record, mark=...) per row when a row format is given
+    (mark is ok or FAIL from the record's ok), followed by the footer.
     """
-    columns = list(rows[0])
     if output == "json":
-        print(json_text(rows, summary))
+        pad = " " if summary is None else "  "  # the indent of a record's brackets
+        row_format = _row_format(columns, pad)
+        out = "[\n" + ",\n".join([row_format % tuple(map(_token, row)) for row in rows]) + f"\n{pad[1:]}]"
+        if summary is not None:  # a "rows" key of summary keeps its place
+            items = {**summary, "rows": None}.items()
+            fields = [f" {_token(k)}: {out if k == 'rows' else _token(v)}" for k, v in items]
+            out = "{\n" + ",\n".join(fields) + "\n}"
+        print(out)
         return
     if output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+        writer.writerows([_cell(v) for v in row] for row in rows)
         return
     if text is not None:
         for row in rows:
-            print(text.format(**row, mark="ok" if row["ok"] else "FAIL"))
+            # a format that rounds again, as .3e does, rounds the 15 digits
+            record = {k: float(_cell(v)) if isinstance(v, float) else v for k, v in zip(columns, row)}
+            print(text.format(**record, mark="ok" if record["ok"] else "FAIL"))
     else:
-        widths = {k: max([len(k)] + [len(_cell(row[k])) for row in rows]) for k in columns}
-        print(" ".join(k.rjust(widths[k]) for k in columns))
-        for row in rows:
-            print(" ".join(_cell(row[k]).rjust(widths[k]) for k in columns))
+        cells = [columns, *([_cell(v) for v in row] for row in rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        for line in cells:
+            print(" ".join(c.rjust(w) for c, w in zip(line, widths)))
     if footer is not None:
         print(footer)
 
 
-def json_text(rows: list[dict], summary: dict | None = None) -> str:
-    """json.dumps(doc, indent=1) for doc = rows, or {**summary, "rows": rows}
-    when a summary is given, through json's C encoder, which indent turns off.
+@functools.lru_cache(maxsize=16)
+def _row_format(columns: tuple[str, ...], pad: str) -> str:
+    """A record's JSON text at indent pad, with %s for each value."""
+    keys = [encode_basestring_ascii(k).replace("%", "%%") for k in columns]
+    return f"{pad}{{\n" + ",\n".join(f"{pad} {k}: %s" for k in keys) + f"\n{pad}}}"
 
-    rows is a non-empty list of non-empty records, and records and summary
-    are flat: every value is None, a bool, a number or a string.  So one
-    encoding of all rows, whose item separator carries the newline and the
-    indent of a key, leaves only the brackets of each row to place, and the
-    summary likewise.  An encoded JSON string never holds a raw newline, so
-    the row boundary "},\n" cannot occur inside one.  A summary with its own
-    key "rows", which keeps that key's place, goes through the indenting
-    encoder.
+
+_NOT_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _token(v) -> str:
+    """A flat value as json.dumps writes it, a float rounded to 15 digits.
+
+    Distinct decimals of at most 15 digits are distinct doubles, so the
+    repr of the rounded float has the digits of s = "%.15g" % v and differs
+    from s in form only: ".0" after an integral value, and fixed notation
+    in 1e15 <= |v| < 1e16 where %g has an exponent.  A 3-digit exponent
+    takes the repr too: s may round beyond the largest double, and the
+    guarantee fails for subnormals.
     """
-    if summary is not None and "rows" in summary:
-        return json.dumps({**summary, "rows": rows}, indent=1)
-    pad = " " if summary is None else "  "  # the indent of a row's brackets
-    body = json.dumps(rows, separators=(",\n" + pad + " ", ": "))[2:-2]
-    body = body.replace("},\n" + pad + " {", f"\n{pad}}},\n{pad}{{\n{pad} ")
-    text = f"[\n{pad}{{\n{pad} {body}\n{pad}}}\n{pad[1:]}]"
-    if summary is None:
-        return text
-    # the summary's items and the "rows" key, up to where its value starts
-    head = json.dumps({**summary, "rows": 0}, separators=(",\n ", ": "))[1:-2]
-    return f"{{\n {head}{text}\n}}"
+    if isinstance(v, float):
+        s = "%.15g" % v
+        if "e" in s and (s[-4:] == "e+15" or s[-5] == "e"):
+            s = repr(float(s))
+        if "." in s or "e" in s:
+            return s
+        return _NOT_FINITE.get(s) or s + ".0"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return int.__repr__(v)
 
 
 def _cell(val) -> str:
     if val is None:
         return "-"
     if isinstance(val, float):
-        return f"{val:.15g}"
+        return "%.15g" % val
     return str(val)
 
 
@@ -282,7 +294,7 @@ def cmd_compute(args) -> int:
     for res in results:
         if not cmath.isfinite(res.value):
             raise OverflowError(f"{res.method} at r = {res.r}: value beyond floating-point range")
-    emit_records([result_record(res) for res in results], args.format)
+    emit_records(RESULT_COLUMNS, [result_record(res) for res in results], args.format)
     return 0
 
 
@@ -299,22 +311,21 @@ def cmd_verify(args) -> int:
         raise ValueError("need a presentation or --random N")
     else:
         inputs = [parse_seifert(args.seifert)]
-    rows: list[dict] = []
+    rows = []
     diffs = []
     for data in inputs:
         for r, row in zip(r_values, run_routes(data, r_values, ("auto",))):
             values = [res.value for res in row]
             diff = _max_gap(values)
             diffs.append(diff)
-            rows.append(
-                dict(input=str(data), r=r, methods=len(values), max_diff=f15(diff), ok=diff < args.tolerance)
-            )
+            rows.append((str(data), r, len(values), diff, diff < args.tolerance))
     worst = float(np.max(diffs))
     ok = worst < args.tolerance
     emit_records(
+        VERIFY_COLUMNS,
         rows,
         args.format,
-        summary={"ok": ok, "worst": f15(worst)},
+        summary={"ok": ok, "worst": worst},
         text=VERIFY_TEXT,
         footer=f"{'VERIFY OK' if ok else 'VERIFY FAIL'} worst={worst:.15g} over {len(inputs)} input(s)",
     )
@@ -331,17 +342,8 @@ def cmd_lens(args) -> int:
         diff = _max_gap([v1, v2])
         diffs.append(diff)
         for route, val in (("matrix", v1), ("chain", v2)):
-            records.append(
-                {
-                    "r": r,
-                    "method": "lens_direct",
-                    "route": route,
-                    **_value_fields(val),
-                    "sigma": sigma,
-                    "diff": f15(diff),
-                }
-            )
-    emit_records(records, args.format)
+            records.append((r, "lens_direct", route, val.real, val.imag, abs(val), cmath.phase(val), sigma, diff))
+    emit_records(LENS_COLUMNS, records, args.format)
     return 0 if np.max(diffs) < args.tolerance else 1
 
 
@@ -351,14 +353,7 @@ def cmd_axioms(args) -> int:
     rows = []
 
     def add(r_label, kind: str, name: str, residual: float) -> None:
-        rows.append(
-            {
-                "r": r_label,
-                "check": f"{kind}.{name}",
-                "residual": f15(residual),
-                "ok": residual < args.tolerance,
-            }
-        )
+        rows.append((r_label, f"{kind}.{name}", residual, residual < args.tolerance))
 
     for dm in [datum] if datum is not None else [sl2_datum(r) for r in r_values]:
         for name, residual in check_axioms(dm).items():
@@ -395,8 +390,9 @@ def cmd_axioms(args) -> int:
         rhs = rademacher_phi(a1) + rademacher_phi(a2) - 3 * sign(a1.c * a2.c * a3.c)
         coc = max(coc, abs(lhs - rhs))
     add("-", "numbers", "rademacher_cocycle", float(coc))
-    ok = all(row["ok"] for row in rows)
+    ok = all(row[-1] for row in rows)
     emit_records(
+        AXIOMS_COLUMNS,
         rows,
         args.format,
         summary={"ok": ok},

@@ -4,6 +4,7 @@ main(argv) plus one real subprocess smoke test."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib.util
 import io
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 import seifert_rt
 from seifert_rt import cli, invariants, modular
-from seifert_rt.cli import f15, main, parse_r_spec, random_seifert
+from seifert_rt.cli import main, parse_r_spec, random_seifert
 from seifert_rt.invariants import ROUTES
 from seifert_rt.modular import save_datum, sl2_datum
 
@@ -60,10 +61,69 @@ def test_compute_rejects_too_small_level(capsys):
     assert "r >= 2" in err
 
 
+def emitted(*args, **kwargs) -> str:
+    """What cli.emit_records prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.emit_records(*args, **kwargs)
+    return out.getvalue()
+
+
+def rounded(v):
+    """v, or a float rounded to 15 significant digits: the value printed."""
+    return float("%.15g" % v) if isinstance(v, float) else v
+
+
+def reference_json(columns, rows, summary) -> str:
+    records = [dict(zip(columns, map(rounded, row))) for row in rows]
+    doc = records if summary is None else {**{k: rounded(v) for k, v in summary.items()}, "rows": records}
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_csv(columns, rows) -> str:
+    def cell(v) -> str:
+        return "-" if v is None else "%.15g" % v if isinstance(v, float) else str(v)
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cell(v) for v in row] for row in rows)
+    return out.getvalue()
+
+
 def test_f15_rounding():
-    assert f15(0.1 + 0.2) == 0.3
-    assert f15(1.0) == 1.0
-    assert f15(-0.5000000000000001) == -0.5
+    # every format prints a float's 15 significant digits
+    columns, rows = ("a", "b", "c"), [(0.1 + 0.2, 1.0, -0.5000000000000001)]
+    assert emitted(columns, rows, "csv") == "a,b,c\n0.3,1,-0.5\n"
+    assert emitted(columns, rows, "text").splitlines()[1].split() == ["0.3", "1", "-0.5"]
+    assert json.loads(emitted(columns, rows, "json")) == [{"a": 0.3, "b": 1.0, "c": -0.5}]
+
+
+def test_row_format_rounds_the_printed_15_digits():
+    # .3e of the raw residual, 1.235e-10, would disagree with the 1.2355e-10
+    # that JSON and CSV print
+    rows = [(3, "axiom.x", 1.2354999999999998e-10, True)]
+    out = emitted(("r", "check", "residual", "ok"), rows, "text", text=cli.AXIOMS_TEXT)
+    assert "1.236e-10  ok" in out
+
+
+@given(st.floats())
+@settings(max_examples=500, deadline=None)
+def test_json_token_is_the_repr_of_the_rounded_float(x):
+    assert cli._token(x) == json.dumps(rounded(x))
+
+
+# 1e15 <= |x| < 1e16, where %g writes an exponent and repr does not, the
+# largest 15-digit value below it, integral values, subnormals, the
+# smallest normal double, and the largest, whose 15 digits overflow
+@pytest.mark.parametrize(
+    "x",
+    [1e15, -1.5e15, 1.19483972385924e15, 9.99999999999999e14, 9.999999999999999e14, 1e16,
+     -4995611044547.0, 0.0, -0.0, 1.0, 1e-5, 5e-324, 1e-310, 2.2250738585072014e-308,
+     1.7976931348623157e308],
+)
+def test_json_token_edge_cases(x):
+    assert cli._token(x) == json.dumps(rounded(x))
 
 
 # a flat record with every kind of value the emitter may meet: None, bools,
@@ -76,24 +136,39 @@ ODD_RECORD = {
 
 
 @pytest.mark.parametrize("n_rows", [1, 4])
-@pytest.mark.parametrize("summary", [None, {"ok": False, "worst": 2.5e-8}])
+@pytest.mark.parametrize(
+    "summary", [None, {"ok": False, "worst": 2.5e-8}, {"rows": 1, "worst": 0.1 + 0.2}]
+)
 def test_json_text_equals_the_stdlib_indent(n_rows, summary):
-    rows = [dict(ODD_RECORD, r=k) for k in range(n_rows)]
-    doc = rows if summary is None else {**summary, "rows": rows}
-    assert cli.json_text(rows, summary) == json.dumps(doc, indent=1)
+    columns = tuple(ODD_RECORD)
+    rows = [tuple(dict(ODD_RECORD, r=k).values()) for k in range(n_rows)]
+    assert emitted(columns, rows, "json", summary) == reference_json(columns, rows, summary)
 
 
 flat_value = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 
 
+@st.composite
+def tables(draw):
+    """A header and a non-empty list of rows of flat values under it."""
+    columns = tuple(draw(st.lists(st.text(), min_size=1, max_size=5, unique=True)))
+    rows = draw(st.lists(st.tuples(*[flat_value] * len(columns)), min_size=1, max_size=4))
+    return columns, rows
+
+
 @given(
-    rows=st.lists(st.dictionaries(st.text(), flat_value, min_size=1), min_size=1, max_size=4),
-    summary=st.none() | st.dictionaries(st.text(), flat_value),
+    table=tables(),
+    summary=st.none() | st.dictionaries(st.text() | st.just("rows"), flat_value),
 )
 @settings(max_examples=200, deadline=None)
-def test_json_text_equals_the_stdlib_indent_on_any_flat_records(rows, summary):
-    doc = rows if summary is None else {**summary, "rows": rows}
-    assert cli.json_text(rows, summary) == json.dumps(doc, indent=1)
+def test_json_text_equals_the_stdlib_indent_on_any_flat_records(table, summary):
+    assert emitted(*table, "json", summary) == reference_json(*table, summary)
+
+
+@given(table=tables())
+@settings(max_examples=200, deadline=None)
+def test_csv_equals_the_stdlib_writer_on_any_flat_records(table):
+    assert emitted(*table, "csv") == reference_csv(*table)
 
 
 def test_random_seifert_is_seed_stable():
@@ -494,6 +569,18 @@ def test_table_csv_header_and_rows(capsys):
     assert [row["r"] for row in rows] == ["3", "4", "5"]
     assert abs(float(rows[0]["re"]) - math.sqrt(0.5)) < 1e-12
     assert abs(float(rows[1]["re"]) - (-0.5)) < 1e-12
+
+
+def test_values_from_1e15_to_1e16_print_in_fixed_notation_in_json(capsys):
+    # %g writes these with an exponent, and json.dumps (repr) does not
+    argv = ["compute", "o;g=5;b=0;", "--r", "46", "--method", "generic"]
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0]["re"] >= 1e15
+    assert '"re": 1194839723859240.0,' in out
+    code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    assert next(csv.DictReader(io.StringIO(out)))["re"] == "1.19483972385924e+15"
 
 
 def test_table_text_format_runs(capsys):

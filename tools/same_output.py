@@ -28,9 +28,11 @@ exact arithmetic: wide Euler denominators, huge slopes and framings, and
 an int64 bound, refused when named and skipped in auto mode.  compact
 alone runs over a window of 12 levels, over levels whose centered pairs
 differ, with a fiber summed at the points, and refused by its int64
-bound.  No fiber order sits just below the int64 bound, where a single
-level sums about 1e10 phases.  The 506 calls take about 6 s per tree on a
-2-core x86 VM.
+bound.  Three JSON calls reach each rule by which a JSON number differs
+from its 15-digit text (values from 1e15 to 1e16, integral values, exact
+1.0 and 0.0), and verify, lens and axioms each print CSV once.  No fiber
+order sits just below the int64 bound, where a single level sums about
+1e10 phases.  The 512 calls take about 2 s per tree on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ FIXED_CALLS = [
     ("compute", "o;g=0;b=-1;3037000501/1", "--r", "3"),
     ("compute", "o;g=0;b=0;", "--r", "2..30"),
     ("compute", "n;g=3;b=5;", "--r", "2..30", "--method", "cs11"),
+    # each JSON token rule: values in 1e15..1e16, which %g writes with an
+    # exponent and repr does not, integral values, and exact 1.0 and 0.0
+    ("compute", "o;g=5;b=0;", "--r", "46", "--format", "json"),
+    ("compute", "o;g=5;b=0;2/1", "--r", "20..40", "--format", "json"),
+    ("compute", "o;g=0;b=0;", "--r", "2..30", "--format", "json"),
+    # CSV of the subcommands that print no other CSV call
+    ("verify", "--random", "5", "--seed", "3", "--r", "3..6", "--format", "csv"),
+    ("lens", "7", "3", "--r", "3..6", "--format", "csv"),
+    ("axioms", "--r", "3..4", "--format", "csv"),
 ]
 
 
