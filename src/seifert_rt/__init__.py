@@ -27,7 +27,6 @@ from .modular import (
     mirror_datum,
     r_rep_gauss,
     r_rep_generators,
-    r_rep_word,
     save_datum,
     sl2_datum,
     w_phase,
@@ -35,10 +34,8 @@ from .modular import (
 from .seifert import (
     LensSpace,
     SeifertData,
-    are_equivalent,
     euler_number,
     first_betti,
-    lens_from_seifert,
     normalize,
     parse_seifert,
     render_seifert,

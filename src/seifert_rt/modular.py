@@ -7,16 +7,16 @@ datum at level r - 2 is built from closed trigonometric formulas, each
 argument reduced exactly first; its S is real and kept as float64.  Any
 other datum can be loaded from JSON, with a complex S.
 
-The representation carried by S and the twists is evaluated two
-independent ways: as a word in the generator matrices read off a
-continued fraction decomposition, and entrywise through a finite Gauss
-sum (defined whenever the lower-left entry is nonzero).  The test suite
-checks that both agree; the axioms subcommand checks the datum axioms and
-the generator relations of r_rep_generators.  The numeric routes read only
+The representation carried by S and the twists is evaluated here
+entrywise through a finite Gauss sum (defined whenever the lower-left
+entry is nonzero).  The test suite holds it against a second, whole-matrix
+evaluation as a word in the generator matrices of r_rep_generators, read
+off a continued fraction decomposition; the axioms subcommand checks the
+datum axioms and the generator relations.  The numeric routes read only
 the unit-label column of a representation matrix, so the chain kernel
 and the Gauss kernel gauss_factors compute that column alone
-(gauss_columns multiplies its factors out); r_rep_word stays whole, as
-the reference.  Both kernels take several levels at once.  The chain
+(gauss_columns multiplies its factors out).  Both kernels take several
+levels at once.  The chain
 kernel, DatumStack.chain, lays the datums of the levels end to end and
 reads its first digit from the unit column S[:, 0], with no product; a real S takes each later digit as one float product on the real
 and imaginary parts together.  g_matrix is that kernel at one level.
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sl2z import SL2Z, b_matrix, cf_expand, rademacher_phi, sign
+from .sl2z import SL2Z, rademacher_phi, sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,28 +301,6 @@ def r_rep_generators(r: int) -> RRep:
     xi.setflags(write=False)
     theta.setflags(write=False)
     return RRep(xi, theta)
-
-
-def r_rep_word(mat: SL2Z, r: int) -> np.ndarray:
-    """Representation matrix via a word decomposition in the generators.
-
-    The result depends only on mat up to overall sign (the word for -A
-    gives the same matrix), and not on the decomposition chosen.
-    """
-    gen = r_rep_generators(r)
-    if mat.c == 0:
-        # mat = +-Theta^k with k = a b
-        return np.diag(gen.theta_diag ** (mat.a * mat.b))
-    entries = cf_expand(mat.a, mat.c, style="euclidean")
-    B = b_matrix(entries)
-    tail = B.inverse() * mat
-    if tail.c != 0:
-        raise ArithmeticError(f"decomposition failed for {mat.rows()}")
-    k = tail.a * tail.b
-    out = np.diag(gen.theta_diag**k)
-    for a in entries:
-        out = (gen.theta_diag**a)[:, None] * (gen.xi @ out)
-    return out
 
 
 def r_rep_gauss(mat: SL2Z, r: int) -> np.ndarray:

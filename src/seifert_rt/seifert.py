@@ -8,10 +8,10 @@ the presentation is called normalized and every pair satisfies
 alpha_j >= 1 and gcd(alpha_j, beta_j) = 1.  Both shapes describe closed
 oriented 3-manifolds and are interchangeable via normalize().
 
-The module also provides the rational Euler number, equivalence of
-presentations, orientation reversal, lens space conversions, the first
-Betti number, and the text format: parse_seifert reads what
-render_seifert writes.
+The module also provides the rational Euler number, orientation
+reversal, the one-fiber presentation of a lens space, the first Betti
+number, and the text format: parse_seifert reads what render_seifert
+writes.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .sl2z import ext_gcd
 
 
 BASES = ("o", "n")
@@ -105,28 +103,6 @@ def normalize(data: SeifertData) -> SeifertData:
     return SeifertData(data.base, data.genus, b, tuple(pairs))
 
 
-def are_equivalent(d1: SeifertData, d2: SeifertData) -> bool:
-    """Whether two presentations give the same oriented Seifert manifold.
-
-    Same base and genus, equal total sum b + sum beta_j / alpha_j, and
-    equal multisets of the non-integral residues beta_j / alpha_j mod 1.
-    """
-    if (d1.base, d1.genus) != (d2.base, d2.genus):
-        return False
-    if euler_number(d1) != euler_number(d2):
-        return False
-
-    def residues(d: SeifertData) -> list[Fraction]:
-        out = []
-        for alpha, beta in d.pairs:
-            if alpha == 1:
-                continue
-            out.append(Fraction(beta, alpha) % 1)
-        return sorted(out)
-
-    return residues(d1) == residues(d2)
-
-
 def reverse_orientation(data: SeifertData) -> SeifertData:
     """Presentation of the same manifold with reversed orientation.
 
@@ -145,29 +121,6 @@ def first_betti(data: SeifertData) -> int:
         raise ValueError("first_betti implemented for orientable base only")
     e = euler_number(data)
     return 2 * data.genus + (1 if e == 0 else 0)
-
-
-def lens_from_seifert(pair1: tuple[int, int], pair2: tuple[int, int]) -> LensSpace:
-    """Lens space of the genus-0 two-fiber presentation {o; 0; pair1, pair2}.
-
-    Returns L(p, q) with p = a1 b2 + a2 b1 and q = a1 b2' + a2' b1 where
-    (b2', a2') solves a2 b2' - b2 a2' = 1 with the smallest non-negative a2'.
-    """
-    (a1, b1), (a2, b2) = pair1, pair2
-    for alpha, beta in (pair1, pair2):
-        if alpha < 1:
-            raise ValueError(f"alpha must be positive, got ({alpha}, {beta})")
-        if math.gcd(alpha, beta) != 1:
-            raise ValueError(f"pair ({alpha}, {beta}) is not coprime")
-    p = a1 * b2 + a2 * b1
-    _, x, y = ext_gcd(a2, b2)
-    # x a2 + y b2 = 1, so (b2', a2') = (x, -y) solves a2 b2' - b2 a2' = 1
-    b2p, a2p = x, -y
-    a2p_min = a2p % a2
-    t = (a2p_min - a2p) // a2
-    b2p += t * b2
-    q = a1 * b2p + a2p_min * b1
-    return LensSpace(p, q)
 
 
 def seifert_from_lens(lens: LensSpace) -> SeifertData:

@@ -29,7 +29,6 @@ from seifert_rt.modular import (
     check_axioms,
     r_rep_gauss,
     r_rep_generators,
-    r_rep_word,
     sl2_datum,
 )
 from seifert_rt.seifert import (
@@ -55,6 +54,8 @@ from seifert_rt.sl2z import (
     sign,
     signature_exact,
 )
+
+from helpers import r_rep_word
 
 S3_PLUS = parse_seifert("o;g=0;b=1;")
 S3_MINUS = parse_seifert("o;g=0;b=-1;")

@@ -724,8 +724,10 @@ def graph_sum_flat(datum, data, cf_style="minus"):
     the labels of p and q, the kernel's factors in the kernel's order.  The
     product is taken in place: complex multiply is not bitwise commutative
     under FMA, and numpy computes term * temporary as temporary *= term
-    once the temporary passes 256 KiB.  Value, sigma and tolerance, the
-    floats as float.hex."""
+    once the temporary passes 256 KiB.  Past invariants.GRAPH_BLOCK terms
+    (read at call time) the terms are summed in nl rows, one per label of
+    vertex 0, and the row sums added in order, as the kernel adds its
+    blocks.  Value, sigma and tolerance, the floats as float.hex."""
     mm = normalize(data)
     cfs = tuple(cf_expand(a, b, cf_style) for a, b in mm.pairs)
     mtot = 1 + sum(map(len, cfs))
@@ -751,7 +753,14 @@ def graph_sum_flat(datum, data, cf_style="minus"):
             if w0 != 0:
                 mat = mir.S if w0 > 0 else mir.S[dual, :]
                 term *= (vertex[q] * mat ** abs(w0))[idx[p], idx[q]]
-    val = complex(mir.delta**sig * datum.D**bexp * np.sum(term))
+    if count > invariants.GRAPH_BLOCK:
+        rows = term.reshape(nl, -1)
+        total = np.sum(rows[0])
+        for row in rows[1:]:
+            total = total + np.sum(row)
+    else:
+        total = np.sum(term)
+    val = complex(mir.delta**sig * datum.D**bexp * total)
     tol = invariants._tol(nl + 1, mtot + count // nl)
     return val.real.hex(), val.imag.hex(), sig, tol.hex()
 
@@ -806,21 +815,51 @@ def test_graph_sum_matches_flat_state_sum_with_duality(data, k):
     assert abs(res.value - ref.value) <= res.tolerance_estimate + ref.tolerance_estimate
 
 
-def test_graph_sum_largest_state_sum_stays_small_in_memory():
-    """o;g=0;b=-2;8/7 at r = 6 is 5^8 = 390 625 terms, the largest sum the
-    caps allow.  The product tensor grows one vertex at a time, so it holds
-    them once beside the 5^7 terms before the last vertex (7.5 MB); the flat
-    enumeration also held one index array per vertex (37.5 MB traced)."""
-    data = parse_seifert("o;g=0;b=-2;8/7")
-    datum = sl2_datum(6)
+@given(
+    data=small_seifert(bases=("o",)),
+    kind=st.sampled_from([("sl2", r) for r in range(3, 11)] + [("Z/3", 1), ("Z/3", 2)]),
+)
+# 4^9 terms in blocks of 4^8, where |tau| cancels to about 1e-16
+@example(data=parse_seifert("o;g=0;b=-2;9/8"), kind=("sl2", 5))
+@settings(max_examples=40, deadline=None)
+def test_graph_sum_blocked_and_whole_match_flat_state_sum(data, kind):
+    """With GRAPH_BLOCK = 1 every state sum is summed one label of vertex 0
+    at a time, and with GRAPH_BLOCK at the term cap every one is summed
+    whole.  Either way it equals the flat enumeration, summed the same
+    way, bit for bit, and the independent route (cs11 on sl2, generic on
+    pointed Z/3, whose duality makes the edges at vertex 0 read S_dual)
+    within the summed tolerances."""
+    name, n = kind
+    datum = sl2_datum(n) if name == "sl2" else pointed_datum(3, n)
+    assume(_in_graph_sum_caps(data, datum.n_labels, "minus"))
+    ref = tau_cs11(n, data) if name == "sl2" else tau_generic(datum, data)
+    for block in (1, invariants.GRAPH_TERM_CAP):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "GRAPH_BLOCK", block)
+            res = tau_graph_sum(datum, data)
+            assert _hex(res) == graph_sum_flat(datum, data), block
+        assert abs(res.value - ref.value) <= res.tolerance_estimate + ref.tolerance_estimate, block
+
+
+@pytest.mark.parametrize("spec, r", [("o;g=0;b=-2;8/7", 6), ("o;g=0;b=-2;9/8", 5)])
+def test_graph_sum_largest_state_sum_stays_small_in_memory(spec, r):
+    """8/7 at r = 6 is 5^8 = 390 625 terms, the largest sum the caps allow,
+    and 9/8 at r = 5 is 4^9 = 262 144 terms on the most vertices.  Past
+    GRAPH_BLOCK terms the state sum is summed one label of vertex 0 at a
+    time, so it holds one block of 5^7 terms beside the 5^6 before its
+    last vertex (1.5 MB, 1.8 MB traced).  Summed whole it held 7.5 MB
+    (7.8 MB traced), and the flat enumeration also held one index array
+    per vertex (37.5 MB traced)."""
+    data = parse_seifert(spec)
+    datum = sl2_datum(r)
     tracemalloc.start()
     try:
         res = tau_graph_sum(datum, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6, peak
-    ref = tau_cs11(6, data)
+    assert peak < 2.5e6, peak
+    ref = tau_cs11(r, data)
     assert abs(res.value - ref.value) <= res.tolerance_estimate + ref.tolerance_estimate
 
 

@@ -24,12 +24,13 @@ from seifert_rt.modular import (
     mirror_datum,
     r_rep_gauss,
     r_rep_generators,
-    r_rep_word,
     save_datum,
     sl2_datum,
     w_phase,
 )
 from seifert_rt.sl2z import IDENTITY, SL2Z, XI, b_matrix, rademacher_phi, sign, theta_power
+
+from helpers import r_rep_word
 
 
 def toy_datum(n=3, dual=(0, 2, 1), eps=(1, None, None)):

@@ -11,16 +11,16 @@ import pytest
 from seifert_rt.seifert import (
     LensSpace,
     SeifertData,
-    are_equivalent,
     euler_number,
     first_betti,
-    lens_from_seifert,
     normalize,
     parse_seifert,
     render_seifert,
     reverse_orientation,
     seifert_from_lens,
 )
+
+from helpers import are_equivalent, lens_from_seifert
 
 POINCARE = "o;g=0;b=-1;2/1,3/1,5/1"
 

@@ -22,8 +22,10 @@ levels, the chain routes' sweeps (a window of large levels, a float
 overflow part way through a window, and a loaded datum, whose file the
 OLD_SRC tree writes once into a temporary directory, so both trees read the
 same datum), each of cs11, compact and graph_sum on that loaded datum, the
-graph_sum state sum (the largest sum its caps allow, the same one level up,
-refused by the term cap, and a genus-2 sum with three chains), and the
+graph_sum state sum (the largest sum its caps allow and the sum on the
+most vertices, both summed one label of the central vertex at a time, the
+second in JSON where tau cancels to about 1e-16; the first one level up,
+refused by the term cap; and a genus-2 sum with three chains), and the
 exact arithmetic: wide Euler denominators, huge slopes and framings, and
 an int64 bound, refused when named and skipped in auto mode.  compact
 alone runs over a window of 12 levels, over levels whose centered pairs
@@ -32,7 +34,7 @@ bound.  Three JSON calls reach each rule by which a JSON number differs
 from its 15-digit text (values from 1e15 to 1e16, integral values, exact
 1.0 and 0.0), and verify, lens and axioms each print CSV once.  No fiber
 order sits just below the int64 bound, where a single level sums about
-1e10 phases.  The 512 calls take about 2 s per tree on a 2-core x86 VM.
+1e10 phases.  The 513 calls take about 2 s per tree on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -89,8 +91,10 @@ FIXED_CALLS = [
     ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--datum", DATUM, "--method", "cs11"),
     ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--datum", DATUM, "--method", "compact"),
     ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--datum", DATUM, "--method", "graph_sum"),
-    # graph_sum: 5^8 terms at r = 6, 6^8 over the term cap at r = 7, and genus 2
+    # graph_sum: 5^8 terms at r = 6, 4^9 at r = 5 where tau cancels, 6^8 over
+    # the term cap at r = 7, and genus 2
     ("compute", "o;g=0;b=-2;8/7", "--r", "6", "--method", "graph_sum"),
+    ("compute", "o;g=0;b=-2;9/8", "--r", "5", "--method", "graph_sum", "--format", "json"),
     ("compute", "o;g=0;b=-2;8/7", "--r", "7", "--method", "graph_sum"),
     ("compute", "o;g=2;b=-1;3/2,5/3,7/4", "--r", "3..6", "--method", "graph_sum"),
     # exactness: a 60-bit Euler denominator, huge slopes and framing
