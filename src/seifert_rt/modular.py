@@ -4,8 +4,10 @@ A datum packages the S-matrix, twists, quantum dimensions, global
 dimension D, duality involution, and optional cross-cap signs of a
 modular category with n labels (label 0 is the unit).  The quantum sl2
 datum at level r - 2 is built from closed trigonometric formulas, each
-argument reduced exactly first; its S is real and kept as float64.  Any
-other datum can be loaded from JSON, with a complex S.
+argument reduced exactly first; its S is real and kept as float64, and
+is gathered in bounded blocks of rows straight into its own buffer, so
+the build holds S and nothing else of its size.  Any other datum can be
+loaded from JSON, with a complex S.
 
 The representation carried by S and the twists is evaluated here
 entrywise through a finite Gauss sum (defined whenever the lower-left
@@ -108,19 +110,27 @@ def sl2_datum(r: int) -> ModularDatum:
     mod 2 r, and stays real (float64); dims is that table at k = j; v is
     taken at the exponent (j^2 - 1) mod 4 r.  So the rounding of an
     argument stays below 2 pi eps at every r, where j l pi / r reached
-    r pi.
+    r pi.  S is allocated first and gathered into in blocks of whole rows,
+    at most DATUM_BLOCK entries each (one row when a row is longer), so the
+    build holds S and nothing else of its size: 8 (r - 1)^2 bytes.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
+    n = r - 1
     j = np.arange(1, r)
     s1 = math.sin(math.pi / r)
     table = np.sin(np.pi * np.arange(2 * r) / r) / s1
     # j l < r^2 never wraps int32 while r^2 < 2^31 (r <= 46340), int64 past
     # that; it is reduced mod 2 r in place by a floor division, cheaper than %
     ji = j.astype(np.int32 if r * r < 2**31 else np.int64)
-    jl = np.multiply.outer(ji, ji)
-    jl -= jl // (2 * r) * (2 * r)
-    S = np.take(table, jl)
+    S = np.empty((n, n))
+    step = max(1, DATUM_BLOCK // n)
+    for i in range(0, n, step):
+        jl = np.multiply.outer(ji[i : i + step], ji)
+        jl -= jl // (2 * r) * (2 * r)
+        # every index is in range, so clip changes none; unlike the default
+        # raise mode it writes into out without a buffered copy
+        np.take(table, jl, out=S[i : i + step], mode="clip")
     v = np.exp(1j * math.pi * ((j * j - 1) % (4 * r)) / (2 * r))
     dims = table[j]
     D = math.sqrt(r / 2) / s1
@@ -276,6 +286,9 @@ def w_phase(r: int) -> complex:
 # phases per block of a Gauss sum in gauss_columns, and points per chunk of
 # compact's level sweep: bounds their memory whatever |c| and however many levels
 GAUSS_BLOCK = 2**14
+# entries per block of whole rows that sl2_datum gathers into S and
+# r_rep_generators into xi: no temporary of the matrix's size at any r
+DATUM_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +303,20 @@ class RRep:
 def r_rep_generators(r: int) -> RRep:
     """Xi_{jl} = sqrt(2/r) sin(j l pi / r); Theta_jj = e^{-i pi/4} e^{i pi j^2/2r}.
 
-    Each argument is reduced exactly first, as in sl2_datum but without its
-    table: the sine is taken at j l mod 2 r and the exponential at j^2 mod 4 r.
+    Each argument is reduced exactly first, as in sl2_datum: Xi is read from
+    one complex table of sqrt(2/r) sin(pi k / r) over k mod 2 r, at
+    k = j l mod 2 r, gathered into xi in blocks of whole rows of at most
+    DATUM_BLOCK entries; the exponential is taken at j^2 mod 4 r.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
+    n = r - 1
     j = np.arange(1, r)
-    xi = np.sqrt(2.0 / r) * np.sin(np.pi * (np.outer(j, j) % (2 * r)) / r).astype(complex)
+    table = np.sqrt(2.0 / r) * np.sin(np.pi * np.arange(2 * r) / r).astype(complex)
+    xi = np.empty((n, n), dtype=complex)
+    step = max(1, DATUM_BLOCK // n)
+    for i in range(0, n, step):
+        np.take(table, np.multiply.outer(j[i : i + step], j) % (2 * r), out=xi[i : i + step])
     theta = np.exp(-1j * math.pi / 4) * np.exp(1j * math.pi * ((j * j) % (4 * r)) / (2 * r))
     xi.setflags(write=False)
     theta.setflags(write=False)

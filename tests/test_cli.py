@@ -911,8 +911,9 @@ def test_level_only_routes_build_no_datum(capsys, monkeypatch):
 )
 def test_datum_routes_refuse_before_building_the_datum(capsys, text, method, code, message):
     """A base check or cap reads no datum, so it refuses before the level's
-    datum is built: the traced peak stays far below the 256 MB of the sl2
-    datum at r = 4000, which each of these built first (121 MB at r = 2000)."""
+    datum is built: the traced peak stays far below the 128 MB of the real
+    S of the sl2 datum at r = 4000, which each of these once built before
+    it refused."""
     cli.build_parser()
     sl2_datum.cache_clear()
     tracemalloc.start()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seifert_rt import modular
 from seifert_rt.modular import (
     ModularDatum,
     check_axioms,
@@ -68,6 +70,42 @@ def test_sl2_datum_s_is_real(r):
     S = sl2_datum(r).S
     assert S.dtype == np.float64
     assert S.nbytes == 8 * (r - 1) ** 2
+
+
+@pytest.mark.parametrize("block", [1, 7, modular.DATUM_BLOCK])
+def test_row_blocks_match_one_shot_gather(monkeypatch, block):
+    """S and xi are gathered in blocks of whole rows: one row at a time,
+    uneven blocks (r = 402 at the default ends on a block of one row) and
+    a single block (every r up to 129 at the default).  Each is bit for bit
+    its table read at j l mod 2 r in one dense gather, and S stays a
+    read-only C-contiguous float64 array."""
+    monkeypatch.setattr(modular, "DATUM_BLOCK", block)
+    for r in [*range(2, 41), 129, 130, 402]:
+        j = np.arange(1, r)
+        jl = np.multiply.outer(j, j) % (2 * r)
+        table = np.sin(np.pi * np.arange(2 * r) / r) / math.sin(math.pi / r)
+        S = sl2_datum.__wrapped__(r).S
+        assert S.tobytes() == table[jl].tobytes(), r
+        assert S.dtype == np.float64 and S.flags.c_contiguous and not S.flags.writeable
+        xi = r_rep_generators.__wrapped__(r).xi
+        xi_ref = np.sqrt(2.0 / r) * np.sin(np.pi * jl / r).astype(complex)
+        assert xi.tobytes() == xi_ref.tobytes(), r
+
+
+@pytest.mark.parametrize(
+    "build, r, field", [(sl2_datum, 2000, "S"), (r_rep_generators, 1000, "xi")]
+)
+def test_row_block_build_holds_one_matrix(build, r, field):
+    """The build's traced peak stays within 1 MB of the matrix it returns
+    (32 MB of S at r = 2000, 16 MB of xi at r = 1000): the one-shot gathers
+    peaked at 80 and 32 MB in index temporaries."""
+    tracemalloc.start()
+    try:
+        nbytes = getattr(build.__wrapped__(r), field).nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes + 1e6, (peak, nbytes)
 
 
 @pytest.mark.parametrize("r", [7, 146, 400])

@@ -16,14 +16,15 @@ ill-conditioned where tau is near 0.  Exits 1 when any call differs, 0
 otherwise.
 
 The call set is two passes of each benchmark workload at seed 901, read
-from ``bench/workloads.py`` without writing anything under ``bench/``, and
-fixed calls that cover the subcommands, large fibers over several chunks of
-levels, the chain routes' sweeps (a window of large levels, a float
-overflow part way through a window, and a loaded datum, whose file the
-OLD_SRC tree writes once into a temporary directory, so both trees read the
-same datum), each of cs11, compact and graph_sum on that loaded datum, the
-graph_sum state sum (the largest sum its caps allow and the sum on the
-most vertices, both summed one label of the central vertex at a time, the
+from ``bench/workloads.py`` without writing anything under ``bench/``,
+and fixed calls that cover the subcommands, large fibers over several
+chunks of levels, the chain routes' sweeps (a window of large levels, a
+float overflow part way through a window, a level whose S ends on a
+block of one row, and a loaded datum, whose file the OLD_SRC tree writes
+once into a temporary directory, so both trees read the same datum),
+each of cs11, compact and graph_sum on that loaded datum, the graph_sum
+state sum (the largest sum its caps allow and the sum on the most
+vertices, both summed one label of the central vertex at a time, the
 second in JSON where tau cancels to about 1e-16; the first one level up,
 refused by the term cap; and a genus-2 sum with three chains), and the
 exact arithmetic: wide Euler denominators, huge slopes and framings, and
@@ -32,9 +33,11 @@ alone runs over a window of 12 levels, over levels whose centered pairs
 differ, with a fiber summed at the points, and refused by its int64
 bound.  Three JSON calls reach each rule by which a JSON number differs
 from its 15-digit text (values from 1e15 to 1e16, integral values, exact
-1.0 and 0.0), and verify, lens and axioms each print CSV once.  No fiber
-order sits just below the int64 bound, where a single level sums about
-1e10 phases.  The 513 calls take about 2 s per tree on a 2-core x86 VM.
+1.0 and 0.0), and verify, lens and axioms each print CSV once.  axioms
+runs once on levels whose generator matrices take several blocks of
+rows.  No fiber order sits just below the int64 bound, where a single
+level sums about 1e10 phases.  The 515 calls take about 2 s per tree on
+a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ FIXED_CALLS = [
     ("axioms", "--r", "3..6"),
     # JSON of the two subcommands that print no workload call
     ("axioms", "--r", "3..4", "--format", "json"),
+    # the generator matrices past one block of rows
+    ("axioms", "--r", "130..131", "--format", "json"),
     ("lens", "7", "3", "--r", "3..6", "--format", "json"),
     ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--r", "3..40", "--format", "csv"),
     # larger fibers, several chunks of levels
@@ -84,6 +89,8 @@ FIXED_CALLS = [
     # the chain routes: a window of large levels, an overflow of D^(2g - 2)
     # from r = 6 on, and a loaded datum
     ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "140..160", *CHAIN_ROUTES),
+    # S at r = 402 is gathered 40 rows a block, the last block one row
+    ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "402", *CHAIN_ROUTES, "--format", "json"),
     ("compute", "o;g=287;b=-1;4/3,5/4", "--r", "3..8", *CHAIN_ROUTES),
     ("compute", "o;g=1;b=2;7/3,5/2", "--datum", DATUM),
     ("compute", "n;g=1;b=1;3/2,5/3", "--datum", DATUM, "--method", "generic"),
