@@ -55,9 +55,8 @@ datum, cs11's alpha^2 bound) or grows with r (graph_sum's level and term
 caps, compact's int64 bound (4 r |c|)^2, a float power of r).  Both int64
 bounds are ComplexityCaps raised from the OverflowError they prevent.
 The routes share no numeric code through the table, since their
-agreement is the cross-check.  InvariantResult accepts these names only.
-tau_lens_routes evaluates a lens space along two internal routes; there
-are also Verlinde dimensions.
+agreement is the cross-check.  tau_lens_routes evaluates a lens space
+along two internal routes; there are also Verlinde dimensions.
 
 Conventions: tau_r(S^3) = D^{-1}, tau_r(S^1 x S^2) = 1, labels are
 0-based array indices with the unit label at 0 (sl2 label j sits at
@@ -72,7 +71,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +140,7 @@ class Unsupported(ValueError):
     """A route refuses a presentation or datum outside its scope."""
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     """One evaluated invariant value with its provenance.
 
     sigma_used is the integer framing exponent the route consumed (None
@@ -157,14 +155,6 @@ class InvariantResult:
     method: str
     sigma_used: int | None
     tolerance_estimate: float
-
-    def __post_init__(self) -> None:
-        if self.method not in ROUTES:
-            raise ValueError(f"method must be one of {tuple(ROUTES)}, got {self.method!r}")
-        if self.r < 2:
-            raise ValueError(f"need r >= 2, got {self.r}")
-        if not self.tolerance_estimate > 0:
-            raise ValueError("tolerance_estimate must be positive")
 
 
 # one level's entry of a route's sweep: its result, or what it raised there
@@ -820,24 +810,20 @@ def tau_section5_sweep(
         g, chains, expo = _section5_exact(data, cf_style)
     except (ComplexityCap, Unsupported) as exc:
         return [exc] * len(levels)
-    if not chains:
-        stack, prefs, stop = _chain_levels(levels, datum, lambda d: d.D ** (2 * g - 2))
-        terms = stack.dims ** (2 - 2 * g)
-        work = 1
-    else:
-        stack, prefs, stop = _chain_levels(
-            levels, datum, lambda d: (d.delta / d.D) ** expo * d.D ** (2 * g - 2)
-        )
-        # each chain applied to the unit label, its digits scaled by 1/D
-        prod = np.ones(stack.v.size, dtype=complex)
-        try:
-            for digits in chains:
-                prod *= stack.apply_s(stack.chain(digits))
-        except OverflowError as exc:
-            return [exc] * len(levels)
-        n_comp = len(chains)
-        terms = stack.dims ** (2 - 2 * g - n_comp) * prod
-        work = sum(map(len, chains)) + n_comp
+    stack, prefs, stop = _chain_levels(
+        levels, datum, lambda d: (d.delta / d.D) ** expo * d.D ** (2 * g - 2)
+    )
+    # each chain applied to the unit label, its digits scaled by 1/D
+    prod = np.ones(stack.v.size, dtype=complex)
+    try:
+        for digits in chains:
+            prod *= stack.apply_s(stack.chain(digits))
+    except OverflowError as exc:
+        return [exc] * len(levels)
+    n_comp = len(chains)
+    terms = stack.dims ** (2 - 2 * g - n_comp) * prod
+    # no chains (b = 0, no pairs) still sums one term per label
+    work = sum(map(len, chains)) + n_comp or 1
     out: list[Entry] = []
     for d, pref, z in zip(stack.datums, prefs, stack.sums(terms)):
         r = d.n_labels + 1

@@ -18,10 +18,11 @@ datum axioms and the generator relations.  The numeric routes read only
 the unit-label column of a representation matrix, so the chain kernel
 and the Gauss kernel gauss_factors compute that column alone
 (gauss_columns multiplies its factors out).  Both kernels take several
-levels at once.  The chain
-kernel, DatumStack.chain, lays the datums of the levels end to end and
-reads its first digit from the unit column S[:, 0], with no product; a real S takes each later digit as one float product on the real
-and imaginary parts together.  g_matrix is that kernel at one level.
+levels at once.  The chain kernel, DatumStack.chain, lays the datums of
+the levels end to end and reads its first digit from the unit column
+S[:, 0], with no product.  A real S takes each later digit as one float
+product on the real and imaginary parts together.  g_matrix is that
+kernel at one level.
 gauss_factors chooses once per call between a table of its Gauss sum on
 all residues and sums at the points, whichever has fewer entries.
 """

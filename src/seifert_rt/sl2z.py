@@ -4,7 +4,7 @@ Negative-regular and euclidean continued fractions with their convergent
 matrices, Dedekind sums, the Rademacher function, closed-form signatures
 of Seifert surgery links, the integer plumbing (linking) matrices those
 links produce, and an exact congruence reduction computing the signature
-and nullity of any symmetric rational matrix.
+and nullity of any symmetric integer matrix.
 
 Everything runs on int and Fraction; the only floating point is the
 cotangent-sum cross-check for Dedekind sums.  Dedekind sums are
@@ -311,28 +311,23 @@ def linking_matrix(
     return tuple(tuple(row) for row in m)
 
 
-def signature_exact(mat: Sequence[Sequence[int | Fraction]]) -> tuple[int, int]:
-    """(signature, nullity) of a symmetric rational matrix, exact.
+def signature_exact(mat: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(signature, nullity) of a symmetric integer matrix, exact.
 
-    Fraction-free congruence reduction in Python ints.  Rational input is
-    scaled by the squared lcm of its denominators, the congruence by lcm I.
-    Nonzero diagonal entries d split off one at a time, and zero-diagonal
-    hyperbolic pairs c two at a time (each contributing nothing to the
-    signature).  What remains becomes d m_ij - m_ip m_pj, d times the Schur
-    complement (c times it for a pair), so a negative d or c flips the
-    inertia of the rest.  flip is the product of the signs of the d and c
-    so far, and a pivot's true sign is the flip that includes its own d.
-    Each block is then divided by the gcd of its entries, a positive scale.
+    Fraction-free congruence reduction in Python ints.  Nonzero diagonal
+    entries d split off one at a time, and zero-diagonal hyperbolic pairs
+    c two at a time (each contributing nothing to the signature).  What
+    remains becomes d m_ij - m_ip m_pj, d times the Schur complement (c
+    times it for a pair), so a negative d or c flips the inertia of the
+    rest.  flip is the product of the signs of the d and c so far, and a
+    pivot's true sign is the flip that includes its own d.  Each block is
+    then divided by the gcd of its entries, a positive scale.
     """
     n = len(mat)
     m = [list(row) for row in mat]
     for row in m:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if not all(type(x) is int for row in m for x in row):
-        fracs = [[Fraction(x) for x in row] for row in m]
-        scale = math.lcm(*(x.denominator for row in fracs for x in row)) ** 2
-        m = [[int(x * scale) for x in row] for row in fracs]
     for i in range(n):
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:

@@ -274,6 +274,8 @@ BEYOND_FLOAT_RANGE = [
     # a named route whose value is not finite: nan from compact, inf from cs11
     (["compute", "n;g=140;b=0;", "--r", "100", "--method", "compact"], "compact at r = 100:"),
     (["compute", "o;g=400;b=0;", "--r", "5", "--method", "cs11"], "cs11 at r = 5:"),
+    # cs11's prefactor r^(g - 1) overflows part way through the window
+    (["compute", "o;g=287;b=-1;4/3,5/4", "--r", "9..14", "--method", "cs11"], "cs11 at r = 12:"),
 ]
 
 
@@ -287,6 +289,17 @@ def test_value_beyond_float_range_exits_3(capsys, argv, named):
     assert out == ""
     assert err.startswith(f"error: {named}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["generic", "section5"])
+def test_twist_power_overflow_on_a_loaded_datum_exits_3(capsys, tmp_path, method):
+    # the twist power v^(-b) overflows at b = 10^400, on a loaded datum
+    path = tmp_path / "d5.json"
+    save_datum(sl2_datum(5), str(path))
+    argv = ["compute", f"o;g=0;b={10**400};2/1", "--datum", str(path), "--method", method]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {method} at r = 5:")
 
 
 @pytest.mark.parametrize(
@@ -628,7 +641,7 @@ def nan_at_level_3(route):
 
     def run(levels, dm, data):
         return [
-            replace(res, value=complex(math.nan)) if res.r == 3 else res
+            res._replace(value=complex(math.nan)) if res.r == 3 else res
             for res in route(levels, dm, data)
         ]
 
@@ -821,6 +834,10 @@ def test_datum_file_forbids_number_theory_routes(capsys, tmp_path):
 # argv, with d5.json and d5_noeps.json standing for datum files the test
 # writes, and the whole of stderr
 REFUSED = {
+    "no-genus": (["compute", "o;x=0;b=0;", "--r", "3"], "missing g= field in 'o;x=0;b=0;'"),
+    "no-framing": (["compute", "o;g=0;x=0;", "--r", "3"], "missing b= field in 'o;g=0;x=0;'"),
+    "bad-framing": (["compute", "o;g=0;b=x;", "--r", "3"], "bad framing in 'o;g=0;b=x;'"),
+    "bad-pair": (["compute", "o;g=0;b=0;a/1", "--r", "3"], "bad pair 'a/1' in 'o;g=0;b=0;a/1'"),
     "alpha-zero": (["compute", "o;g=0;b=0;0/1", "--r", "3"], "pair (0, 1) has alpha = 0"),
     "not-coprime": (["compute", "o;g=0;b=0;4/2", "--r", "3"], "pair (4, 2) is not coprime"),
     "out-of-range": (
