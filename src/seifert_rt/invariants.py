@@ -302,7 +302,7 @@ def tau_generic_sweep(
         for digits in chains:
             col *= stack.apply_s(stack.chain(digits))
         if data.normalized:
-            col = col * stack.v ** (-data.b)
+            col = col * stack.twist(-data.b)
     except OverflowError as exc:
         return [exc] * len(levels)
     lab = stack.dims ** (2 - n - aeg)
@@ -698,9 +698,14 @@ def tau_graph_sum(
     S_dual = mir.S[np.array(mir.dual), :]
 
     def weight(q: int) -> np.ndarray:
-        """w_q = v^B_qq dims^(2 - 2 g_q - valence), on the labels of vertex q."""
+        """w_q = v^B_qq dims^(2 - 2 g_q - valence), on the labels of vertex q.
+        A twist of known order o takes an exponent |B_qq| >= o as its
+        centred residue mod o, a smaller one as it is."""
         a_q = sum(abs(B[q][p]) for p in range(mtot) if p != q)
-        return mir.v ** B[q][q] * mir.dims ** (2 - 2 * (g if q == 0 else 0) - a_q)
+        e, o = B[q][q], mir.twist_order
+        if o and abs(e) >= o:
+            e = (e + o // 2) % o - o // 2
+        return mir.v**e * mir.dims ** (2 - 2 * (g if q == 0 else 0) - a_q)
 
     w0 = weight(0)
     tables = []

@@ -4,10 +4,11 @@ A datum packages the S-matrix, twists, quantum dimensions, global
 dimension D, duality involution, and optional cross-cap signs of a
 modular category with n labels (label 0 is the unit).  The quantum sl2
 datum at level r - 2 is built from closed trigonometric formulas, each
-argument reduced exactly first; its S is real and kept as float64, and
-is gathered in bounded blocks of rows straight into its own buffer, so
-the build holds S and nothing else of its size.  Any other datum can be
-loaded from JSON, with a complex S.
+argument reduced exactly first, and holds O(r) numbers: its twists,
+dimensions and one sine table, from which its real (float64) S is
+gathered, in bounded blocks of rows straight into its own buffer, only
+when something first reads it.  Any other datum can be loaded from
+JSON, with a complex S, kept dense.
 
 The representation carried by S and the twists is evaluated here
 entrywise through a finite Gauss sum (defined whenever the lower-left
@@ -20,9 +21,11 @@ and the Gauss kernel gauss_factors compute that column alone
 (gauss_columns multiplies its factors out).  Both kernels take several
 levels at once.  The chain kernel, DatumStack.chain, lays the datums of
 the levels end to end and reads its first digit from the unit column
-S[:, 0], with no product.  A real S takes each later digit as one float
-product on the real and imaginary parts together.  g_matrix is that
-kernel at one level.
+S[:, 0], with no product.  It applies the built-in S at a level past the
+crossover DST_LEVEL as a type-I discrete sine transform, one FFT of
+length 2 r, and never builds it there; any other real S takes each
+later digit as one float product on the real and imaginary parts
+together.  g_matrix is that kernel at one level.
 gauss_factors chooses once per call between a table of its Gauss sum on
 all residues and sums at the points, whichever has fewer entries.
 """
@@ -52,22 +55,34 @@ class ModularDatum:
     v the ribbon twists, delta = sum of v_i^{-1} dims_i^2, dual the
     duality permutation, eps the optional cross-cap signs (None when
     unknown; only ever needed for self-dual labels).
+
+    table is the built-in sl2 datum's sine table (see sl2_datum), None for
+    any other.  A datum given S = None and a table gathers S from it the
+    first time S is read and keeps it.  twist_order is the order of the
+    twists, 4 r for the built-in datum, None when unknown.
     """
 
     n_labels: int
-    S: np.ndarray
+    S: np.ndarray | None
     v: np.ndarray
     dims: np.ndarray
     D: float
     delta: complex
     dual: tuple[int, ...]
     eps: tuple[int | None, ...]
+    table: np.ndarray | None = None
+    twist_order: int | None = None
 
     def __post_init__(self) -> None:
         n = self.n_labels
         if n < 1:
             raise ValueError("datum needs at least the unit label")
-        if self.S.shape != (n, n):
+        if self.S is None:
+            if self.table is None or self.table.shape != (2 * n + 2,):
+                raise ValueError(f"S = None needs a sine table of {2 * n + 2} entries")
+            # the first read of S now reaches __getattr__
+            object.__delattr__(self, "S")
+        elif self.S.shape != (n, n):
             raise ValueError(f"S must be {n}x{n}, got {self.S.shape}")
         if self.v.shape != (n,) or self.dims.shape != (n,):
             raise ValueError("v and dims must have one entry per label")
@@ -94,8 +109,18 @@ class ModularDatum:
         if not signs:
             e = next(e for e in self.eps if e not in (1, -1, None))
             raise ValueError(f"eps entries must be +-1 or None, got {e!r}")
-        for arr in (self.S, self.v, self.dims):
-            arr.setflags(write=False)
+        for arr in (self.__dict__.get("S"), self.v, self.dims, self.table):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for an attribute the instance lacks: S of a datum
+        # built from its table, until its first read
+        if name != "S":
+            raise AttributeError(name)
+        S = _gather_s(self.table)
+        object.__setattr__(self, "S", S)
+        return S
 
 
 @lru_cache(maxsize=None)
@@ -106,24 +131,40 @@ def sl2_datum(r: int) -> ModularDatum:
     dims_j = sin(j pi / r) / sin(pi / r), D = sqrt(r / 2) / sin(pi / r),
     eps_j = (-1)^(j - 1), every label self-dual.
 
-    Every argument is reduced exactly before sin or exp: S is read from one
-    real table of sin(pi k / r) / sin(pi / r) over k mod 2 r, at k = j l
-    mod 2 r, and stays real (float64); dims is that table at k = j; v is
-    taken at the exponent (j^2 - 1) mod 4 r.  So the rounding of an
-    argument stays below 2 pi eps at every r, where j l pi / r reached
-    r pi.  S is allocated first and gathered into in blocks of whole rows,
-    at most DATUM_BLOCK entries each (one row when a row is longer), so the
-    build holds S and nothing else of its size: 8 (r - 1)^2 bytes.
+    Every argument is reduced exactly before sin or exp: the datum keeps one
+    real table of sin(pi k / r) / sin(pi / r) over k mod 2 r; dims is that
+    table at k = j; v is taken at the exponent (j^2 - 1) mod 4 r, and the
+    twists have order 4 r.  So the rounding of an argument stays below
+    2 pi eps at every r, where j l pi / r reached r pi.  The datum holds
+    O(r) numbers.  S is gathered from the table at k = j l mod 2 r, as
+    real float64, only when something first reads datum.S (_gather_s), and
+    then kept: 8 (r - 1)^2 bytes.  DatumStack reads no S at a level past
+    the crossover (DST_LEVEL), so a chain route never builds it there.
     """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
-    n = r - 1
     j = np.arange(1, r)
     s1 = math.sin(math.pi / r)
     table = np.sin(np.pi * np.arange(2 * r) / r) / s1
+    v = np.exp(1j * math.pi * ((j * j - 1) % (4 * r)) / (2 * r))
+    dims = table[j]
+    D = math.sqrt(r / 2) / s1
+    delta = complex(np.sum(v.conj() * dims * dims))
+    dual = tuple(range(r - 1))
+    eps = ((1, -1) * r)[: r - 1]
+    return ModularDatum(r - 1, None, v, dims, D, delta, dual, eps, table, 4 * r)
+
+
+def _gather_s(table: np.ndarray) -> np.ndarray:
+    """S[j][l] = table[j l mod 2 r] of the built-in sl2 datum's sine table,
+    read-only float64.  S is allocated first and gathered into in blocks of
+    whole rows, at most DATUM_BLOCK entries each (one row when a row is
+    longer), so the build holds S and nothing else of its size."""
+    r = table.size // 2
+    n = r - 1
     # j l < r^2 never wraps int32 while r^2 < 2^31 (r <= 46340), int64 past
     # that; it is reduced mod 2 r in place by a floor division, cheaper than %
-    ji = j.astype(np.int32 if r * r < 2**31 else np.int64)
+    ji = np.arange(1, r, dtype=np.int32 if r * r < 2**31 else np.int64)
     S = np.empty((n, n))
     step = max(1, DATUM_BLOCK // n)
     for i in range(0, n, step):
@@ -132,17 +173,13 @@ def sl2_datum(r: int) -> ModularDatum:
         # every index is in range, so clip changes none; unlike the default
         # raise mode it writes into out without a buffered copy
         np.take(table, jl, out=S[i : i + step], mode="clip")
-    v = np.exp(1j * math.pi * ((j * j - 1) % (4 * r)) / (2 * r))
-    dims = table[j]
-    D = math.sqrt(r / 2) / s1
-    delta = complex(np.sum(v.conj() * dims * dims))
-    dual = tuple(range(r - 1))
-    eps = ((1, -1) * r)[: r - 1]
-    return ModularDatum(r - 1, S, v, dims, D, delta, dual, eps)
+    S.setflags(write=False)
+    return S
 
 
 def mirror_datum(datum: ModularDatum) -> ModularDatum:
-    """Datum of the mirror category: inverse twists, dual-permuted S rows."""
+    """Datum of the mirror category: inverse twists, of the same order, and
+    dual-permuted S rows, kept dense."""
     dual = np.array(datum.dual)
     S = np.array(datum.S[dual, :])
     v = 1.0 / datum.v
@@ -156,6 +193,7 @@ def mirror_datum(datum: ModularDatum) -> ModularDatum:
         delta,
         datum.dual,
         datum.eps,
+        twist_order=datum.twist_order,
     )
 
 
@@ -202,12 +240,16 @@ class DatumStack:
 
     v holds the twists, dims the quantum dimensions, D each entry's global
     dimension and unit the unit-label columns S[:, 0], kept complex like
-    v.  So a chain's twists and weights take one numpy op for every
-    level; only S times a vector is one BLAS product per level, on that
-    level's own slice, and each level is summed on its own slice, so every
-    entry equals its single-level value bit for bit.  real_s says whether
-    every level's S is real, as the built-in sl2 datum's is; a loaded
-    datum's S is complex.
+    v; the built-in datum's unit column is its dims, the same bits, so no
+    S is read for it.  So a chain's twists and weights take one numpy op
+    for every level; only S times a vector runs per level, on that level's
+    own slice, and each level is summed on its own slice, so every entry
+    equals its single-level value bit for bit.  real_s says whether every
+    level's S is real, as the built-in sl2 datum's is; a loaded datum's S
+    is complex.  dst marks the levels whose S is applied as a sine
+    transform (_dst_level), and wrap is the smallest |a| whose twist
+    power some level reduces: the smallest twist order, inf when no level
+    knows its order.
     """
 
     datums: tuple[ModularDatum, ...]
@@ -217,55 +259,112 @@ class DatumStack:
     D: np.ndarray
     unit: np.ndarray
     real_s: bool
+    dst: tuple[bool, ...]
+    wrap: float
 
     @classmethod
     def of(cls, datums: Sequence[ModularDatum]) -> DatumStack:
         sizes = [d.n_labels for d in datums]
         starts = itertools.accumulate(sizes, initial=0)
+        builtin = [d.table is not None for d in datums]
         return cls(
             tuple(datums),
             tuple(itertools.starmap(slice, itertools.pairwise(starts))),
             np.concatenate([d.v for d in datums]),
             np.concatenate([d.dims for d in datums]),
             np.repeat([d.D for d in datums], sizes),
-            np.concatenate([d.S[:, 0] for d in datums], dtype=complex),
-            all(d.S.dtype == np.float64 for d in datums),
+            np.concatenate(
+                [d.dims if b else d.S[:, 0] for d, b in zip(datums, builtin)], dtype=complex
+            ),
+            all(b or d.S.dtype == np.float64 for d, b in zip(datums, builtin)),
+            tuple(map(_dst_level, datums)),
+            min((d.twist_order for d in datums if d.twist_order), default=math.inf),
         )
 
     def apply_s(self, x: np.ndarray) -> np.ndarray:
         """S x for a complex vector x, with each level's S on its own slice.
 
-        A real S multiplies the real and imaginary parts together: one
-        float (n x 2) product on the float views of x and of the result,
+        A level marked in dst takes the sine transform (_dst_s), which reads
+        no S.  A real S multiplies the real and imaginary parts together:
+        one float (n x 2) product on the float views of x and of the result,
         taken once per call.  A complex S takes the complex product.
         """
         y = np.empty_like(x)
         xs, ys = x, y
         if self.real_s:
             xs, ys = x.view(FLOAT_PAIR), y.view(FLOAT_PAIR)
-        for d, s in zip(self.datums, self.slices):
-            np.dot(d.S, xs[s], out=ys[s])
+        for d, s, dst in zip(self.datums, self.slices, self.dst):
+            if dst:
+                _dst_s(x[s], y[s])
+            else:
+                np.dot(d.S, xs[s], out=ys[s])
         return y
+
+    def twist(self, a: int) -> np.ndarray:
+        """v^a at every level.  A level whose twists have a known order o
+        takes an exponent |a| >= o as its centred residue mod o, in
+        -o/2..o/2 - 1, so a huge a loses nothing; a smaller one, and any a
+        at a level of unknown order, as it is.  Below wrap, one power
+        serves every level."""
+        if abs(a) < self.wrap:
+            return self.v**a
+        powers = []
+        for d in self.datums:
+            o = d.twist_order
+            powers.append(d.v ** (a if not o or abs(a) < o else (a + o // 2) % o - o // 2))
+        return np.concatenate(powers)
 
     def chain(self, entries: Sequence[int]) -> np.ndarray:
         """T^{a_n} (S/D) ... T^{a_1} (S/D) e_0 at every level, for digits
         (a_1, ..., a_n): e_0 when there are none.
 
         S e_0 is S[:, 0] exactly, so the first digit reads the unit column
-        and each later one takes one product with S, O(n^2) per level.
+        and each later one applies S once per level (apply_s), O(n^2) dense
+        or O(n log n) as a sine transform.
         """
         if not entries:
             G = np.zeros(self.v.size, dtype=complex)
             G[[s.start for s in self.slices]] = 1
             return G
-        G = self.v ** entries[0] / self.D * self.unit
+        G = self.twist(entries[0]) / self.D * self.unit
         for a in entries[1:]:
-            G = self.v**a / self.D * self.apply_s(G)
+            G = self.twist(a) / self.D * self.apply_s(G)
         return G
 
     def sums(self, x: np.ndarray) -> list:
         """The sum of each level's slice of x."""
         return [x[s].sum() for s in self.slices]
+
+
+def _dst_level(datum: ModularDatum) -> bool:
+    """Whether DatumStack applies datum's S as a sine transform: the
+    built-in datum at a level r from DST_LEVEL on whose largest prime
+    factor is at most r / 4, and at every level from DST_ANY_LEVEL on."""
+    r = datum.n_labels + 1
+    if datum.table is None or r < DST_LEVEL:
+        return False
+    if r >= DST_ANY_LEVEL:
+        return True
+    # divide out the factors below the square root: m ends as the largest prime
+    m, p = r, 2
+    while p * p <= m:
+        if m % p:
+            p += 1
+        else:
+            m //= p
+    return 4 * m <= r
+
+
+def _dst_s(x: np.ndarray, out: np.ndarray) -> None:
+    """S x of the built-in sl2 datum at level r = x.size + 1 into out, as a
+    type-I discrete sine transform: sum_l x_l sin(pi j l / r) is i/2 times
+    entry j of the FFT of (0, x, 0, -x reversed), of length 2 r.  np.fft is
+    reached here, at the first call, not at import."""
+    r = x.size + 1
+    y = np.zeros(2 * r, dtype=complex)
+    y[1:r] = x
+    np.negative(x[::-1], out=y[r + 1 :])
+    np.multiply(np.fft.fft(y)[1:r], 0.5j / math.sin(math.pi / r), out=out)
 
 
 def g_matrix(datum: ModularDatum, entries: Sequence[int]) -> np.ndarray:
@@ -290,6 +389,21 @@ GAUSS_BLOCK = 2**14
 # entries per block of whole rows that sl2_datum gathers into S and
 # r_rep_generators into xi: no temporary of the matrix's size at any r
 DATUM_BLOCK = 2**14
+# the crossover of DatumStack.apply_s (_dst_level).  Per apply to one complex
+# vector the dense real product takes 6, 25 and 109 us at r = 176, 400 and
+# 600, and the first read of S builds it once: 81, 387 and 997 us.  The sine
+# transform costs about 10 us in np.fft's call and its copies, then O(r p)
+# for the largest prime factor p of r, or Bluestein's algorithm when p is
+# large: 12, 14 and 17 us at r = 176, 288 and 400 (p <= 11), 16, 19 and 33 us
+# at r = 232, 344 and 404 (p = 29, 43, 101), but 38, 68 and 81 us at the
+# primes 227, 401 and 557.  Counting one build per 16 applies, the transform
+# takes 0.3 to 1.2 times the dense time from r = 176 when p <= r / 4, and up
+# to 2.2 times when p is larger (r = 227); from r = 550 on it takes no more
+# per apply, even by Bluestein's algorithm (r = 557: 81 against 85 us).  It
+# also keeps the 8 (r - 1)^2 bytes of S out of the level cache
+# (1 BLAS thread, 2-core x86 VM, numpy 2.4)
+DST_LEVEL = 176
+DST_ANY_LEVEL = 550
 
 
 @dataclass(frozen=True, eq=False)

@@ -612,6 +612,43 @@ def test_verify_single_input(capsys):
     assert "max_diff" in out
 
 
+HUGE_FRAMINGS = [
+    ("o;g=0;b=768614336404564650;3/2,2/1", "3..12"),
+    ("o;g=0;b=100000000000000000000000;2/1,3/1,5/1", "3..12"),
+    ("o;g=1;b=768614336404564650;1009/2,1013/5,1019/3,1021/4,1031/6,1033/7", "3..6"),
+]
+
+
+@pytest.mark.parametrize("text, levels", HUGE_FRAMINGS, ids=["b7e17", "b1e23", "b7e17-g1"])
+def test_verify_passes_in_a_huge_framing(capsys, text, levels):
+    """generic, section5 and graph_sum raise each twist of the built-in
+    datum to its exponent's centred residue mod the twist order 4 r, so
+    they agree with cs11 and compact whatever the size of the framing
+    (raised to the framing as given, the first input failed with worst
+    4.3e23)."""
+    code, out, _ = run_cli(capsys, ["verify", text, "--r", levels])
+    assert code == 0
+    assert "VERIFY OK" in out
+
+
+def test_compute_in_a_huge_framing_runs_every_route(capsys):
+    # graph_sum's nan here failed the whole auto-mode request with exit 3
+    text = HUGE_FRAMINGS[1][0]
+    code, out, err = run_cli(capsys, ["compute", text, "--r", "5", "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [row["method"] for row in rows] == list(ROUTES)
+    values = [complex(row["re"], row["im"]) for row in rows]
+    assert max(abs(z - values[0]) for z in values) < 1e-13
+
+
+def test_lens_chain_route_across_the_crossover(capsys):
+    # g_matrix runs the chain kernel: 399, 400 and 402 take the sine transform
+    code, out, _ = run_cli(capsys, ["lens", "7", "3", "--r", "398..402"])
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 2 * 5
+
+
 def test_verify_random_is_deterministic(capsys):
     argv = ["verify", "--random", "5", "--seed", "11", "--r", "3..5"]
     code1, out1, _ = run_cli(capsys, argv)
@@ -928,19 +965,22 @@ def test_level_only_routes_build_no_datum(capsys, monkeypatch):
 )
 def test_datum_routes_refuse_before_building_the_datum(capsys, text, method, code, message):
     """A base check or cap reads no datum, so it refuses before the level's
-    datum is built: the traced peak stays far below the 128 MB of the real
-    S of the sl2 datum at r = 4000, which each of these once built before
-    it refused."""
+    datum is built: the level cache stays empty.  Each of these once built
+    the datum at r = 4000 before it refused, with its dense S of 128 MB;
+    the datum now holds O(r) numbers, so the traced peak alone no longer
+    shows it.  The peak still stays under 20 MB."""
     cli.build_parser()
     sl2_datum.cache_clear()
     tracemalloc.start()
     try:
         got = run_cli(capsys, ["compute", text, "--r", "4000", "--method", method])
         peak = tracemalloc.get_traced_memory()[1]
+        built = sl2_datum.cache_info().currsize
     finally:
         tracemalloc.stop()
         sl2_datum.cache_clear()
     assert got == (code, "", f"error: {message}\n")
+    assert built == 0
     assert peak < 20e6, peak
 
 

@@ -330,14 +330,11 @@ def test_compact_is_exactly_periodic_in_beta(k):
     assert theirs.value == ours.value
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="generic and section5 raise v to the framing as given, not reduced mod 4r (ROADMAP item 2)",
-)
 @pytest.mark.parametrize("route", [tau_generic, tau_section5], ids=["generic", "section5"])
 def test_chain_routes_are_periodic_in_a_huge_framing(route):
     # 10^23 = 0 mod 4r at r = 5 and sign(e) is the same, so the values must
-    # agree, as they do under cs11 and compact; the chain routes differ by 0.24
+    # agree, as they do under cs11 and compact; with v raised to the framing
+    # as given, not reduced mod its order 4r, they differed by 0.24
     d = sl2_datum(5)
     ours = route(d, parse_seifert("o;g=0;b=0;2/1,3/1,5/1"))
     theirs = route(d, parse_seifert(f"o;g=0;b={10**23};2/1,3/1,5/1"))
@@ -612,6 +609,34 @@ def test_column_routes_stay_linear_in_memory():
             assert peak < matrix / 16, (r, peak)
     finally:
         sl2_datum.cache_clear()  # the large levels are not worth keeping
+
+
+@pytest.mark.parametrize(
+    "r, bounded, bound",
+    [(20000, ("generic", "section5"), 20e6), (100000, ("generic", "cs11", "compact", "section5"), 200e6)],
+)
+def test_routes_reach_large_levels(r, bounded, bound):
+    """On the Poincare sphere the chain routes apply S as a sine transform
+    and never build it, where the dense S would take 3.2 GB at r = 20000
+    and 80 GB at r = 100000.  Each route's traced peak, datum build
+    included, stays under the bound (generic and section5 under 20 MB at
+    r = 20000, all four under 200 MB at r = 100000), and every pair of the
+    four agrees within its summed printed tolerances."""
+    results = {}
+    try:
+        for name in ("generic", "cs11", "compact", "section5"):
+            sl2_datum.cache_clear()
+            tracemalloc.start()
+            try:
+                (results[name],) = ROUTES[name]((r,), None, POINCARE)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert name not in bounded or peak < bound, (name, peak)
+    finally:
+        sl2_datum.cache_clear()  # the large levels are not worth keeping
+    for a, b in itertools.combinations(results.values(), 2):
+        assert abs(a.value - b.value) <= a.tolerance_estimate + b.tolerance_estimate, (a.method, b.method)
 
 
 def test_wide_fiber_routes_stay_bounded_in_memory():
@@ -1060,6 +1085,8 @@ def test_sweep_equals_single_levels(data, lo, width):
 @given(data=small_seifert(), lo=st.integers(3, 16), width=st.integers(1, 8))
 # generic and section5 overflow D^(2g - 2) from r = 6 on, part way through
 @example(data=parse_seifert("o;g=287;b=-1;4/3,5/4"), lo=3, width=6)
+# a window across the crossover: r = 176 takes the sine transform, the rest dense
+@example(data=parse_seifert("o;g=1;b=2;3/2,5/3"), lo=173, width=6)
 @settings(max_examples=40, deadline=None)
 def test_chain_sweeps_equal_single_levels_exactly(data, lo, width):
     """The chain routes lay every level's labels end to end, yet each

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from seifert_rt import modular
 from seifert_rt.modular import (
+    DatumStack,
     ModularDatum,
     check_axioms,
     datum_from_dict,
@@ -90,6 +91,42 @@ def test_row_blocks_match_one_shot_gather(monkeypatch, block):
         xi = r_rep_generators.__wrapped__(r).xi
         xi_ref = np.sqrt(2.0 / r) * np.sin(np.pi * jl / r).astype(complex)
         assert xi.tobytes() == xi_ref.tobytes(), r
+
+
+def test_sl2_s_is_built_on_first_read():
+    """sl2_datum keeps O(r) numbers: no S until something reads datum.S,
+    and a chain at a level past the crossover, a sine transform, reads
+    none.  The first read gathers S and keeps it; dims is its unit column
+    bit for bit, which DatumStack reads in its place."""
+    d = sl2_datum.__wrapped__(402)
+    assert "S" not in vars(d)
+    g_matrix(d, (1, -2, 3))
+    assert "S" not in vars(d)
+    S = d.S
+    assert d.S is S and vars(d)["S"] is S
+    assert S[:, 0].tobytes() == d.dims.tobytes()
+    assert DatumStack.of((d,)).unit.real.tobytes() == d.dims.tobytes()
+    assert d.twist_order == 4 * 402
+
+
+@pytest.mark.parametrize(
+    "r, dst", [(175, False), (176, True), (227, False), (400, True), (557, True), (1000, True)]
+)
+def test_apply_s_matches_the_dense_product(r, dst):
+    """Around the crossover of DatumStack.apply_s: the level before it and
+    DST_LEVEL, a prime above it that stays dense (227, where np.fft takes
+    Bluestein's algorithm) and one past DST_ANY_LEVEL (557), r = 400 and
+    r = 1000.  apply_s of the built-in datum is S @ x to 1e-14 relative,
+    and builds no S where it takes the sine transform."""
+    d = sl2_datum.__wrapped__(r)
+    stack = DatumStack.of((d,))
+    assert stack.dst == (dst,)
+    rng = np.random.default_rng(r)
+    x = rng.standard_normal(r - 1) + 1j * rng.standard_normal(r - 1)
+    got = stack.apply_s(x)
+    assert ("S" in vars(d)) is not dst
+    want = d.S @ x
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), r
 
 
 @pytest.mark.parametrize(
@@ -179,6 +216,9 @@ def test_datum_validation_errors():
             dual=(0, 1),
             eps=(1, 1),
         )
+    d = sl2_datum(5)
+    with pytest.raises(ValueError, match="S = None needs a sine table of 10 entries"):
+        ModularDatum(4, None, d.v, d.dims, d.D, d.delta, d.dual, d.eps)
 
 
 def test_datum_validation_messages():

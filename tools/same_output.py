@@ -20,25 +20,27 @@ from ``bench/workloads.py`` without writing anything under ``bench/``,
 and fixed calls that cover the subcommands, large fibers over several
 chunks of levels, a float overflow part way through a window in cs11 and
 in the chain routes, the chain routes' sweeps (a window of large levels,
-a level whose S ends on a block of one row, and a loaded datum, whose
-file the OLD_SRC tree writes once into a temporary directory, so both
-trees read the same datum),
+a window across the crossover where S is applied as a sine transform,
+two levels past it, one prime, the lens chain route across it, and a
+loaded datum, whose file the OLD_SRC tree writes once into a temporary
+directory, so both trees read the same datum),
 each of cs11, compact and graph_sum on that loaded datum, the graph_sum
 state sum (the largest sum its caps allow and the sum on the most
 vertices, both summed one label of the central vertex at a time, the
 second in JSON where tau cancels to about 1e-16; the first one level up,
 refused by the term cap; and a genus-2 sum with three chains), and the
-exact arithmetic: wide Euler denominators, huge slopes and framings, and
-an int64 bound, refused when named and skipped in auto mode.  compact
-alone runs over a window of 12 levels, over levels whose centered pairs
-differ, with a fiber summed at the points, and refused by its int64
-bound.  Three JSON calls reach each rule by which a JSON number differs
+exact arithmetic: wide Euler denominators, huge slopes and framings
+(computed, and verified across all routes), and an int64 bound, refused
+when named and skipped in auto mode.  compact alone runs over a window of
+12 levels, over levels whose centered pairs differ, with a fiber summed
+at the points, and refused by its int64 bound.  Three JSON calls reach each rule by which a JSON number differs
 from its 15-digit text (values from 1e15 to 1e16, integral values, exact
 1.0 and 0.0), and verify, lens and axioms each print CSV once.  axioms
 runs once on levels whose generator matrices take several blocks of
-rows.  No fiber order sits just below the int64 bound, where a single
-level sums about 1e10 phases.  The 516 calls take about 2 s per tree on
-a 2-core x86 VM.
+rows, and once past the crossover, where S is built on its first read,
+at r = 402 ending on a block of one row.  No fiber order sits just below
+the int64 bound, where a single level sums about 1e10 phases.  The 524 calls take about 2 s per tree on a
+2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ FIXED_CALLS = [
     ("axioms", "--r", "3..4", "--format", "json"),
     # the generator matrices past one block of rows
     ("axioms", "--r", "130..131", "--format", "json"),
+    # S past the crossover, built when check_axioms reads it; at r = 402 it is
+    # gathered 40 rows a block, the last block one row
+    ("axioms", "--r", "401..402", "--format", "json"),
     ("lens", "7", "3", "--r", "3..6", "--format", "json"),
     ("compute", "o;g=0;b=-1;2/1,3/1,5/1", "--r", "3..40", "--format", "csv"),
     # larger fibers, several chunks of levels
@@ -90,9 +95,14 @@ FIXED_CALLS = [
     # the chain routes: a window of large levels, an overflow of D^(2g - 2)
     # from r = 6 on, and a loaded datum
     ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "140..160", *CHAIN_ROUTES),
-    # S at r = 402 is gathered 40 rows a block, the last block one row
     ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "402", *CHAIN_ROUTES, "--format", "json"),
     ("compute", "o;g=287;b=-1;4/3,5/4", "--r", "3..8", *CHAIN_ROUTES),
+    # S as a sine transform: at r = 402 above, at r = 176 of a window across
+    # the crossover, at the prime 557 (Bluestein's algorithm in np.fft), and
+    # at 399, 400 and 402 in the lens chain route
+    ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "170..181", *CHAIN_ROUTES, "--format", "json"),
+    ("compute", "o;g=1;b=2;7/3,11/4,13/5", "--r", "557", *CHAIN_ROUTES, "--format", "json"),
+    ("lens", "7", "3", "--r", "398..402", "--format", "json"),
     # cs11's prefactor r^(g - 1) overflows from r = 12 on
     ("compute", "o;g=287;b=-1;4/3,5/4", "--r", "9..14", "--method", "cs11"),
     ("compute", "o;g=1;b=2;7/3,5/2", "--datum", DATUM),
@@ -112,6 +122,10 @@ FIXED_CALLS = [
     ("compute", "nn:o;g=0;3/2305843009213693952,2/1", "--r", "3..12"),
     ("compute", "nn:o;g=1;3/2305843009213693951,2/1,7/-3", "--r", "5"),
     ("compute", "o;g=0;b=768614336404564650;3/2,2/1", "--r", "3..12"),
+    ("compute", "o;g=0;b=100000000000000000000000;2/1,3/1,5/1", "--r", "5"),
+    ("verify", "o;g=0;b=768614336404564650;3/2,2/1", "--r", "3..12"),
+    ("verify", "o;g=0;b=100000000000000000000000;2/1,3/1,5/1", "--r", "3..12"),
+    ("verify", "o;g=1;b=768614336404564650;1009/2,1013/5,1019/3,1021/4,1031/6,1033/7", "--r", "3..6"),
     ("compute", "nn:n;g=2;5/-12,7/9,3/100", "--r", "3..40", "--method", "cs11"),
     ("compute", "o;g=0;b=-1;3037000501/1", "--r", "3..5", "--method", "cs11"),
     # auto mode skips both int64 bounds
