@@ -698,14 +698,10 @@ def tau_graph_sum(
     S_dual = mir.S[np.array(mir.dual), :]
 
     def weight(q: int) -> np.ndarray:
-        """w_q = v^B_qq dims^(2 - 2 g_q - valence), on the labels of vertex q.
-        A twist of known order o takes an exponent |B_qq| >= o as its
-        centred residue mod o, a smaller one as it is."""
+        """w_q = v^B_qq dims^(2 - 2 g_q - valence), on the labels of vertex q;
+        v^B_qq is ModularDatum.twist, exact for a huge B_qq."""
         a_q = sum(abs(B[q][p]) for p in range(mtot) if p != q)
-        e, o = B[q][q], mir.twist_order
-        if o and abs(e) >= o:
-            e = (e + o // 2) % o - o // 2
-        return mir.v**e * mir.dims ** (2 - 2 * (g if q == 0 else 0) - a_q)
+        return mir.twist(B[q][q]) * mir.dims ** (2 - 2 * (g if q == 0 else 0) - a_q)
 
     w0 = weight(0)
     tables = []

@@ -37,7 +37,7 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -56,10 +56,12 @@ class ModularDatum:
     duality permutation, eps the optional cross-cap signs (None when
     unknown; only ever needed for self-dual labels).
 
-    table is the built-in sl2 datum's sine table (see sl2_datum), None for
-    any other.  A datum given S = None and a table gathers S from it the
-    first time S is read and keeps it.  twist_order is the order of the
-    twists, 4 r for the built-in datum, None when unknown.
+    table and twist_order are no constructor arguments: sl2_datum and
+    mirror_datum set them.  table is the built-in sl2 datum's sine table,
+    from which its S (given as None) is gathered on the first read and
+    kept; twist_order is the order of the twists, 4 r for the built-in
+    datum and its mirror.  Both are None on any other datum, so a datum
+    made by dataclasses.replace of a built-in one is a plain dense datum.
     """
 
     n_labels: int
@@ -70,16 +72,16 @@ class ModularDatum:
     delta: complex
     dual: tuple[int, ...]
     eps: tuple[int | None, ...]
-    table: np.ndarray | None = None
-    twist_order: int | None = None
+    table: np.ndarray | None = field(default=None, init=False, repr=False)
+    twist_order: int | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         n = self.n_labels
         if n < 1:
             raise ValueError("datum needs at least the unit label")
         if self.S is None:
-            if self.table is None or self.table.shape != (2 * n + 2,):
-                raise ValueError(f"S = None needs a sine table of {2 * n + 2} entries")
+            if self.table is None:
+                raise ValueError("S is required: only sl2_datum gathers it on demand")
             # the first read of S now reaches __getattr__
             object.__delattr__(self, "S")
         elif self.S.shape != (n, n):
@@ -109,7 +111,7 @@ class ModularDatum:
         if not signs:
             e = next(e for e in self.eps if e not in (1, -1, None))
             raise ValueError(f"eps entries must be +-1 or None, got {e!r}")
-        for arr in (self.__dict__.get("S"), self.v, self.dims, self.table):
+        for arr in (self.__dict__.get("S"), self.v, self.dims):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -121,6 +123,14 @@ class ModularDatum:
         S = _gather_s(self.table)
         object.__setattr__(self, "S", S)
         return S
+
+    def twist(self, a: int) -> np.ndarray:
+        """v^a.  With twists of known order o, an exponent |a| >= o is
+        taken as its centred residue mod o, in -o/2..o/2 - 1, so a huge a
+        loses nothing; a smaller one, and any a when the order is
+        unknown, as it is."""
+        o = self.twist_order
+        return self.v ** (a if not o or abs(a) < o else (a + o // 2) % o - o // 2)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +162,14 @@ def sl2_datum(r: int) -> ModularDatum:
     delta = complex(np.sum(v.conj() * dims * dims))
     dual = tuple(range(r - 1))
     eps = ((1, -1) * r)[: r - 1]
-    return ModularDatum(r - 1, None, v, dims, D, delta, dual, eps, table, 4 * r)
+    table.setflags(write=False)
+    # table and twist_order go in before __init__, which does not set them:
+    # its S = None check reads the table
+    datum = object.__new__(ModularDatum)
+    object.__setattr__(datum, "table", table)
+    object.__setattr__(datum, "twist_order", 4 * r)
+    datum.__init__(r - 1, None, v, dims, D, delta, dual, eps)
+    return datum
 
 
 def _gather_s(table: np.ndarray) -> np.ndarray:
@@ -184,17 +201,11 @@ def mirror_datum(datum: ModularDatum) -> ModularDatum:
     S = np.array(datum.S[dual, :])
     v = 1.0 / datum.v
     delta = complex(np.sum(datum.v * datum.dims * datum.dims))
-    return ModularDatum(
-        datum.n_labels,
-        S,
-        np.array(v),
-        np.array(datum.dims),
-        datum.D,
-        delta,
-        datum.dual,
-        datum.eps,
-        twist_order=datum.twist_order,
+    mirror = ModularDatum(
+        datum.n_labels, S, np.array(v), np.array(datum.dims), datum.D, delta, datum.dual, datum.eps
     )
+    object.__setattr__(mirror, "twist_order", datum.twist_order)
+    return mirror
 
 
 def check_axioms(datum: ModularDatum) -> dict[str, float]:
@@ -301,18 +312,11 @@ class DatumStack:
         return y
 
     def twist(self, a: int) -> np.ndarray:
-        """v^a at every level.  A level whose twists have a known order o
-        takes an exponent |a| >= o as its centred residue mod o, in
-        -o/2..o/2 - 1, so a huge a loses nothing; a smaller one, and any a
-        at a level of unknown order, as it is.  Below wrap, one power
-        serves every level."""
+        """v^a at every level, each level's ModularDatum.twist.  Below
+        wrap no level reduces a, and one power serves every level."""
         if abs(a) < self.wrap:
             return self.v**a
-        powers = []
-        for d in self.datums:
-            o = d.twist_order
-            powers.append(d.v ** (a if not o or abs(a) < o else (a + o // 2) % o - o // 2))
-        return np.concatenate(powers)
+        return np.concatenate([d.twist(a) for d in self.datums])
 
     def chain(self, entries: Sequence[int]) -> np.ndarray:
         """T^{a_n} (S/D) ... T^{a_1} (S/D) e_0 at every level, for digits
@@ -338,21 +342,8 @@ class DatumStack:
 
 def _dst_level(datum: ModularDatum) -> bool:
     """Whether DatumStack applies datum's S as a sine transform: the
-    built-in datum at a level r from DST_LEVEL on whose largest prime
-    factor is at most r / 4, and at every level from DST_ANY_LEVEL on."""
-    r = datum.n_labels + 1
-    if datum.table is None or r < DST_LEVEL:
-        return False
-    if r >= DST_ANY_LEVEL:
-        return True
-    # divide out the factors below the square root: m ends as the largest prime
-    m, p = r, 2
-    while p * p <= m:
-        if m % p:
-            p += 1
-        else:
-            m //= p
-    return 4 * m <= r
+    built-in datum at every level from DST_LEVEL on."""
+    return datum.table is not None and datum.n_labels + 1 >= DST_LEVEL
 
 
 def _dst_s(x: np.ndarray, out: np.ndarray) -> None:
@@ -392,18 +383,15 @@ DATUM_BLOCK = 2**14
 # the crossover of DatumStack.apply_s (_dst_level).  Per apply to one complex
 # vector the dense real product takes 6, 25 and 109 us at r = 176, 400 and
 # 600, and the first read of S builds it once: 81, 387 and 997 us.  The sine
-# transform costs about 10 us in np.fft's call and its copies, then O(r p)
-# for the largest prime factor p of r, or Bluestein's algorithm when p is
-# large: 12, 14 and 17 us at r = 176, 288 and 400 (p <= 11), 16, 19 and 33 us
-# at r = 232, 344 and 404 (p = 29, 43, 101), but 38, 68 and 81 us at the
-# primes 227, 401 and 557.  Counting one build per 16 applies, the transform
-# takes 0.3 to 1.2 times the dense time from r = 176 when p <= r / 4, and up
-# to 2.2 times when p is larger (r = 227); from r = 550 on it takes no more
-# per apply, even by Bluestein's algorithm (r = 557: 81 against 85 us).  It
-# also keeps the 8 (r - 1)^2 bytes of S out of the level cache
+# transform takes 12, 14 and 17 us at r = 176, 288 and 400.  Counting one
+# build per 16 applies, it is the cheaper from r = 176 at levels with small
+# prime factors; where np.fft falls back to Bluestein's algorithm, at a
+# level with a large prime factor, it costs up to 2.2 times the dense time
+# below r = 550 (r = 227: 38 against 9 us plus the build).  No benchmark
+# workload has such a level, so one rule serves every level; the sine
+# transform also keeps the 8 (r - 1)^2 bytes of S out of the level cache
 # (1 BLAS thread, 2-core x86 VM, numpy 2.4)
 DST_LEVEL = 176
-DST_ANY_LEVEL = 550
 
 
 @dataclass(frozen=True, eq=False)

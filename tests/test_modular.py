@@ -7,6 +7,7 @@ import cmath
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -109,15 +110,12 @@ def test_sl2_s_is_built_on_first_read():
     assert d.twist_order == 4 * 402
 
 
-@pytest.mark.parametrize(
-    "r, dst", [(175, False), (176, True), (227, False), (400, True), (557, True), (1000, True)]
-)
+@pytest.mark.parametrize("r, dst", [(175, False), (176, True), (400, True), (557, True), (1000, True)])
 def test_apply_s_matches_the_dense_product(r, dst):
     """Around the crossover of DatumStack.apply_s: the level before it and
-    DST_LEVEL, a prime above it that stays dense (227, where np.fft takes
-    Bluestein's algorithm) and one past DST_ANY_LEVEL (557), r = 400 and
-    r = 1000.  apply_s of the built-in datum is S @ x to 1e-14 relative,
-    and builds no S where it takes the sine transform."""
+    DST_LEVEL, r = 400, the prime 557 (where np.fft takes Bluestein's
+    algorithm) and r = 1000.  apply_s of the built-in datum is S @ x to
+    1e-14 relative, and builds no S where it takes the sine transform."""
     d = sl2_datum.__wrapped__(r)
     stack = DatumStack.of((d,))
     assert stack.dst == (dst,)
@@ -127,6 +125,24 @@ def test_apply_s_matches_the_dense_product(r, dst):
     assert ("S" in vars(d)) is not dst
     want = d.S @ x
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), r
+
+
+def test_a_replaced_builtin_datum_is_plain():
+    """dataclasses.replace of the built-in datum keeps neither its sine
+    table nor its twist order: the given S is the one applied, past the
+    crossover too, and new twists are raised as given."""
+    d = sl2_datum(400)
+    X = np.asarray(np.roll(d.S, 1, axis=0))
+    other = replace(d, S=X)
+    assert (other.table, other.twist_order) == (None, None)
+    stack = DatumStack.of((other,))
+    assert stack.dst == (False,) and stack.unit.tobytes() == X[:, 0].astype(complex).tobytes()
+    x = np.arange(1.0, 400.0) * (1 + 2j)
+    want = X @ x
+    assert np.max(np.abs(stack.apply_s(x) - want)) <= 1e-14 * np.max(np.abs(want))
+    w = replace(d, v=d.v * 1j)
+    assert w.twist_order is None
+    assert w.twist(4 * 400 + 1).tobytes() == (w.v ** (4 * 400 + 1)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -217,7 +233,7 @@ def test_datum_validation_errors():
             eps=(1, 1),
         )
     d = sl2_datum(5)
-    with pytest.raises(ValueError, match="S = None needs a sine table of 10 entries"):
+    with pytest.raises(ValueError, match="S is required: only sl2_datum gathers it on demand"):
         ModularDatum(4, None, d.v, d.dims, d.D, d.delta, d.dual, d.eps)
 
 
